@@ -38,37 +38,6 @@ def _print_zg(doc: documents.InputDocument, z: ZGRingElement, fmt: str) -> None:
         print(z.forget_to_classical().render())
 
 
-def _load_expr_pair(path1: str, path2: str) -> tuple[documents.InputDocument, ZGRingElement, ZGRingElement]:
-    doc1 = _load(path1, "expr")
-    doc2 = _load(path2, "expr")
-    spec1 = json.dumps(doc1.raw_group, sort_keys=True)
-    spec2 = json.dumps(doc2.raw_group, sort_keys=True)
-    if spec1 != spec2:
-        raise DocumentError(
-            f"{path2}: group differs from the one in {path1}; "
-            "binary operations need a common group"
-        )
-    # re-parse the second element against the first document's group instance
-    z2 = documents.parse_object(
-        {"kind": "expr", "group": doc1.raw_group, "terms": _raw_terms(path2)},
-    )
-    z2_elem = _rebuild_terms(doc1, path2)
-    return doc1, doc1.payload, z2_elem
-
-
-def _raw_terms(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)["terms"]
-
-
-def _rebuild_terms(doc1: documents.InputDocument, path2: str) -> ZGRingElement:
-    obj = {"kind": "expr", "group": doc1.raw_group, "terms": _raw_terms(path2)}
-    rebuilt = documents.parse_object(obj)
-    return ZGRingElement(doc1.group, {
-        t: c for t, c in zip(rebuilt.payload.coeffs, rebuilt.payload.coeffs.values())
-    })
-
-
 def run_command(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:

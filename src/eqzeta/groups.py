@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GroupError
 
@@ -48,8 +48,10 @@ class SubgroupClassTable:
 
     Classes are sorted by (order, element tuple); every representative is the
     lexicographically least sorted element set within its class, so class ids
-    are stable across runs.  ``subconjugacy[i][j]`` is true when some
-    conjugate of ``classes[i]`` is contained in ``classes[j]``.
+    are stable across runs.  ``class_sizes[k]`` is the size of the conjugate
+    orbit of ``classes[k]``.  ``subconjugacy[i][j]`` is true when some
+    conjugate of ``classes[i]`` is contained in ``classes[j]``, that is when
+    the mark of ``classes[i]`` on G/``classes[j]`` is positive.
     """
 
     classes: tuple[Subgroup, ...]
@@ -65,11 +67,23 @@ class TableOfMarks:
     """Matrix of fixed-coset counts.
 
     ``matrix[k][h]`` is the number of cosets in G/K fixed by H, for the class
-    representatives K = classes[k], H = classes[h].  Lower triangular in the
-    canonical class order, with positive diagonal.
+    representatives K = classes[k], H = classes[h].  A coset aK is fixed by H
+    exactly when H is contained in the conjugate aKa^-1, and each conjugate
+    arises from |N(K)| elements a, so with orbit(K) the conjugates of K::
+
+        matrix[k][h] = |G| / (|K| * |orbit(K)|) * #{K' in orbit(K) : H <= K'}
+
+    (Pfeiffer 1997).  Lower triangular in the canonical class order, with
+    positive diagonal [N(K):K] and first column [G:K].
     """
 
     matrix: tuple[tuple[int, ...], ...]
+
+
+class _Lattice(NamedTuple):
+    classes: SubgroupClassTable
+    marks: TableOfMarks
+    class_id: dict[tuple[int, ...], int]  # every subgroup -> its class id
 
 
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -80,9 +94,11 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 class FiniteGroup:
     """A finite group defined by an explicit multiplication table.
 
-    Instances are immutable after construction and safe for concurrent
-    reads.  Derived data (subgroup classes, marks, normalizers) is computed
-    lazily and cached on the instance.
+    The multiplication table, identity, inverses and generators are fixed at
+    construction.  Derived data (the subgroup lattice, classes, marks and the
+    memo dicts of ``zg`` and ``zeta``) is computed on first read and cached on
+    the instance, so reads write to it: an instance is not safe to share
+    between threads without a lock.
     """
 
     def __init__(
@@ -205,29 +221,23 @@ class FiniteGroup:
     # -- subgroup machinery ----------------------------------------------
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
-        """Subgroup generated by the seed elements."""
-        elems = {self.identity}
-        frontier = []
-        for g in seed:
-            if g not in elems:
-                elems.add(g)
-                frontier.append(g)
-        while frontier:
-            nxt = []
-            for a in list(elems):
-                for b in frontier:
-                    c = self._mul[a][b]
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-            for a in frontier:
-                for b in list(elems):
-                    c = self._mul[a][b]
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return tuple(sorted(elems))
+        """Subgroup generated by the seed elements.
+
+        Breadth-first search from the identity, right-multiplying by the seed
+        elements: O(|K| * #seed) table lookups.  In a finite group the
+        monoid the seed generates is already a group.
+        """
+        gens = tuple(seed)
+        found = {self.identity}
+        queue = [self.identity]
+        for x in queue:
+            row = self._mul[x]
+            for g in gens:
+                y = row[g]
+                if y not in found:
+                    found.add(y)
+                    queue.append(y)
+        return tuple(sorted(found))
 
     def is_subgroup(self, elems: Iterable[int]) -> bool:
         s = set(elems)
@@ -246,69 +256,85 @@ class FiniteGroup:
 
     @cached_property
     def all_subgroups(self) -> tuple[tuple[int, ...], ...]:
-        """Every subgroup, found by closure over single-element extensions."""
-        triv = (self.identity,)
-        seen = {triv}
-        frontier = [triv]
-        while frontier:
-            nxt = []
-            for h_elems in frontier:
-                h_set = set(h_elems)
-                for g in range(self.order):
-                    if g in h_set:
-                        continue
-                    k = self.closure(h_elems + (g,))
-                    if k not in seen:
-                        seen.add(k)
-                        nxt.append(k)
-            frontier = nxt
-        return tuple(sorted(seen, key=lambda t: (len(t), t)))
+        """Every subgroup, sorted by (order, elements), by cyclic extension.
+
+        Every subgroup is generated by the cyclic subgroups it contains, so
+        joining found subgroups with cyclic subgroups, starting from the
+        trivial one, reaches them all (Neubüser 1960).  Each subgroup keeps
+        the generators it was found with; a join adds the generator of one
+        cyclic subgroup not already contained and is closed over those
+        generators only.
+        """
+        # one generator for each cyclic subgroup
+        cyclic_gens = {self.closure((g,)): g for g in range(self.order)}.values()
+        trivial = (self.identity,)
+        gens_of = {trivial: ()}
+        queue = [trivial]
+        for h in queue:
+            h_set = set(h)
+            for g in cyclic_gens:
+                if g in h_set:
+                    continue
+                gens = gens_of[h] + (g,)
+                k = self.closure(gens)
+                if k not in gens_of:
+                    gens_of[k] = gens
+                    queue.append(k)
+        return tuple(sorted(gens_of, key=lambda t: (len(t), t)))
+
+    @cached_property
+    def _lattice(self) -> _Lattice:
+        """Classes, marks and the subgroup -> class id map in one pass.
+
+        ``all_subgroups`` is sorted by (order, elements) and conjugates have
+        equal order, so the first subgroup met in each class is its least
+        member and the representatives come out in class order.  The marks
+        count containments in the conjugates of each representative (see
+        ``TableOfMarks``); subconjugacy is where the marks are positive.
+        """
+        orbits: dict[tuple[int, ...], list[frozenset[int]]] = {}
+        class_id: dict[tuple[int, ...], int] = {}
+        for h in self.all_subgroups:
+            if h in class_id:
+                continue
+            orbit = {self.conjugate_subgroup(a, h) for a in range(self.order)}
+            for k in orbit:
+                class_id[k] = len(orbits)
+            orbits[h] = [frozenset(k) for k in orbit]
+        reps = list(orbits)
+        rep_sets = [frozenset(h) for h in reps]
+        matrix = []
+        for k in reps:
+            conjugates = orbits[k]
+            index_in_normalizer = self.order // (len(k) * len(conjugates))
+            matrix.append(tuple(
+                0 if len(k) % len(h) else
+                index_in_normalizer * sum(h_set <= c for c in conjugates)
+                for h, h_set in zip(reps, rep_sets)
+            ))
+        n = len(reps)
+        classes = SubgroupClassTable(
+            classes=tuple(Subgroup(r) for r in reps),
+            class_sizes=tuple(len(orbits[r]) for r in reps),
+            subconjugacy=tuple(tuple(matrix[k][h] > 0 for k in range(n)) for h in range(n)),
+        )
+        return _Lattice(classes, TableOfMarks(matrix=tuple(matrix)), class_id)
 
     @cached_property
     def subgroup_classes(self) -> SubgroupClassTable:
-        canon_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-        sizes: dict[tuple[int, ...], int] = {}
-        for h in self.all_subgroups:
-            if h in canon_of:
-                continue
-            orbit = {self.conjugate_subgroup(a, h) for a in range(self.order)}
-            rep = min(orbit)
-            for k in orbit:
-                canon_of[k] = rep
-            sizes[rep] = len(orbit)
-        reps = sorted(sizes, key=lambda t: (len(t), t))
-        rep_sets = [set(r) for r in reps]
-        sub = []
-        for i, ri in enumerate(reps):
-            row = []
-            for j in range(len(reps)):
-                row.append(
-                    any(
-                        set(self.conjugate_subgroup(a, ri)) <= rep_sets[j]
-                        for a in range(self.order)
-                    )
-                )
-            sub.append(tuple(row))
-        self._canon_subgroup = canon_of
-        return SubgroupClassTable(
-            classes=tuple(Subgroup(r) for r in reps),
-            class_sizes=tuple(sizes[r] for r in reps),
-            subconjugacy=tuple(sub),
-        )
+        return self._lattice.classes
+
+    @cached_property
+    def table_of_marks(self) -> TableOfMarks:
+        return self._lattice.marks
 
     def class_of_subgroup(self, elems: Iterable[int]) -> int:
         """Class id of a subgroup (canonicalized by conjugation)."""
         t = tuple(sorted(elems))
-        table = self.subgroup_classes
-        canon = self._canon_subgroup.get(t)
-        if canon is None:
-            if not self.is_subgroup(t):
-                raise GroupError(f"{t} is not a subgroup")
-            canon = min(self.conjugate_subgroup(a, t) for a in range(self.order))
-        for i, rep in enumerate(table.classes):
-            if rep.elements == canon:
-                return i
-        raise GroupError(f"subgroup {t} not found in the class table")
+        class_id = self._lattice.class_id.get(t)
+        if class_id is None:
+            raise GroupError(f"{t} is not a subgroup")
+        return class_id
 
     def normalizer(self, elems: Iterable[int]) -> tuple[int, ...]:
         """{a in G : a^-1 H a = H}; always contains H."""
@@ -332,34 +358,6 @@ class FiniteGroup:
             out = self._mul[out][a]
             k += 1
         return k
-
-    @cached_property
-    def table_of_marks(self) -> TableOfMarks:
-        classes = self.subgroup_classes.classes
-        matrix = []
-        for k_sub in classes:
-            k_set = set(k_sub.elements)
-            # left cosets of K, one representative each
-            seen = set()
-            coset_reps = []
-            for a in range(self.order):
-                c = frozenset(self._mul[a][x] for x in k_sub.elements)
-                if c not in seen:
-                    seen.add(c)
-                    coset_reps.append(a)
-            row = []
-            for h_sub in classes:
-                count = 0
-                for a in coset_reps:
-                    ia = self._inv[a]
-                    if all(
-                        self._mul[ia][self._mul[h][a]] in k_set
-                        for h in h_sub.elements
-                    ):
-                        count += 1
-                row.append(count)
-            matrix.append(tuple(row))
-        return TableOfMarks(matrix=tuple(matrix))
 
     def subgroup_label(self, class_id: int) -> str:
         rep = self.subgroup_classes.classes[class_id]

@@ -1,6 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.errors import GroupError
@@ -202,3 +205,171 @@ def test_coset_order(suite_groups):
                 assert group.power(a, w) in set(rep.elements)
                 for j in range(1, w):
                     assert group.power(a, j) not in set(rep.elements)
+
+
+# -- the lattice algorithms the library used before cyclic extension, kept as
+# oracles for the fast routes ----------------------------------------------------
+
+
+def oracle_closure(group, seed):
+    """Subgroup generated by seed: multiply everything by the newest elements
+    on both sides until nothing new appears."""
+    elems = {group.identity}
+    frontier = []
+    for g in seed:
+        if g not in elems:
+            elems.add(g)
+            frontier.append(g)
+    while frontier:
+        nxt = []
+        for a in list(elems):
+            for b in frontier:
+                for c in (group.mul(a, b), group.mul(b, a)):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(elems))
+
+
+def oracle_all_subgroups(group):
+    """Closure over every single-element extension of every subgroup found."""
+    triv = (group.identity,)
+    seen = {triv}
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in range(group.order):
+                if g in h:
+                    continue
+                k = oracle_closure(group, h + (g,))
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(k)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda t: (len(t), t)))
+
+
+def oracle_classes(group):
+    """(representatives, class sizes): least member of each conjugate orbit."""
+    sizes = {}
+    done = set()
+    for h in oracle_all_subgroups(group):
+        if h in done:
+            continue
+        orbit = {group.conjugate_subgroup(a, h) for a in range(group.order)}
+        done |= orbit
+        sizes[min(orbit)] = len(orbit)
+    reps = sorted(sizes, key=lambda t: (len(t), t))
+    return reps, [sizes[r] for r in reps]
+
+
+def oracle_subconjugacy(group, reps):
+    """All pairs: does some conjugate of reps[i] lie in reps[j]?"""
+    return tuple(
+        tuple(
+            any(set(group.conjugate_subgroup(a, hi)) <= set(kj) for a in range(group.order))
+            for kj in reps
+        )
+        for hi in reps
+    )
+
+
+def oracle_marks(group, reps):
+    """Count the left cosets aK with a^-1 H a inside K."""
+    matrix = []
+    for k in reps:
+        coset_reps = {frozenset(group.mul(a, x) for x in k): a for a in range(group.order)}
+        matrix.append(tuple(
+            sum(
+                all(group.conj(group.inv(a), x) in k for x in h)
+                for a in coset_reps.values()
+            )
+            for h in reps
+        ))
+    return tuple(matrix)
+
+
+def _capped_perm_group(n_points, gens, cap=24):
+    """Group of the longest prefix of gens whose closure has order <= cap."""
+    for k in range(len(gens), 0, -1):
+        try:
+            return eq.from_permutations(n_points, gens[:k], order_bound=cap)
+        except GroupError:
+            continue
+    raise AssertionError("a single permutation of at most 5 points has order <= 6")
+
+
+def _assert_lattice_matches_oracles(group):
+    assert group.all_subgroups == oracle_all_subgroups(group)
+    reps, sizes = oracle_classes(group)
+    table = group.subgroup_classes
+    assert [r.elements for r in table.classes] == reps
+    assert list(table.class_sizes) == sizes
+    assert table.subconjugacy == oracle_subconjugacy(group, reps)
+    assert group.table_of_marks.matrix == oracle_marks(group, reps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+        )
+    )
+)
+def test_lattice_matches_oracles(case):
+    _assert_lattice_matches_oracles(_capped_perm_group(*case))
+
+
+def test_lattice_matches_oracles_on_s4xc2():
+    _assert_lattice_matches_oracles(eq.product(eq.symmetric(4), eq.cyclic(2)))
+
+
+def _check_marks_against_indices(group):
+    marks = group.table_of_marks.matrix
+    for k, rep in enumerate(group.subgroup_classes.classes):
+        assert marks[k][0] == group.order // rep.order
+        assert marks[k][k] == len(group.normalizer(rep.elements)) // rep.order
+
+
+def test_symmetric_five_literature_counts():
+    s5 = eq.symmetric(5)
+    assert len(s5.all_subgroups) == 156
+    assert len(s5.subgroup_classes) == 19
+    assert sum(s5.subgroup_classes.class_sizes) == 156
+    _check_marks_against_indices(s5)
+
+
+def test_elementary_abelian_32_literature_counts():
+    # subspaces of F_2^5 by dimension: Gaussian binomials 1, 31, 155, 155, 31, 1
+    group = eq.cyclic(2)
+    for _ in range(4):
+        group = eq.product(group, eq.cyclic(2))
+    assert len(group.all_subgroups) == 374
+    assert len(group.subgroup_classes) == 374
+    by_order = Counter(len(h) for h in group.all_subgroups)
+    assert by_order == {1: 1, 2: 31, 4: 155, 8: 155, 16: 31, 32: 1}
+    _check_marks_against_indices(group)
+
+
+def test_class_of_subgroup_maps_every_conjugate(suite_groups):
+    s4xc2 = eq.product(eq.symmetric(4), eq.cyclic(2))
+    for name, group in suite_groups + [("S4xC2", s4xc2)]:
+        table = group.subgroup_classes
+        for class_id, rep in enumerate(table.classes):
+            conjugates = {
+                group.conjugate_subgroup(a, rep.elements) for a in range(group.order)
+            }
+            assert len(conjugates) == table.class_sizes[class_id], name
+            for k in conjugates:
+                assert group.class_of_subgroup(reversed(k)) == class_id, name
+        assert sum(table.class_sizes) == len(group.all_subgroups), name
+        if group.order > 1:
+            with pytest.raises(GroupError):
+                group.class_of_subgroup(range(1, group.order))
+        for g in range(group.order):
+            if group.element_order(g) > 2:
+                with pytest.raises(GroupError):
+                    group.class_of_subgroup((group.identity, g))
