@@ -10,10 +10,37 @@ as the oracle for the marks route.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ActionError
 from .groups import FiniteGroup
+
+
+def permutation_orbits(
+    rows: Sequence[Sequence[int]], points: Iterable[int]
+) -> list[list[int]]:
+    """Sorted orbits through ``points`` of the group generated by ``rows``.
+
+    ``rows`` is a nonempty list of permutations of range(n).  Orbits come in
+    the order of their first point in ``points``; one may leave ``points``
+    when they are not closed under the rows, so callers that need closure
+    compare the orbit sizes with the point count.
+    """
+    seen = [False] * len(rows[0])
+    out = []
+    for x in points:
+        if seen[x]:
+            continue
+        orbit = [x]
+        seen[x] = True
+        for y in orbit:
+            for row in rows:
+                z = row[y]
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
+        out.append(sorted(orbit))
+    return out
 
 
 class GSet:
@@ -64,24 +91,7 @@ class GSet:
                         )
 
     def orbits(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for x in range(self.n):
-            if seen[x]:
-                continue
-            orbit = [x]
-            seen[x] = True
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for row in self.act:
-                    z = row[y]
-                    if not seen[z]:
-                        seen[z] = True
-                        orbit.append(z)
-                        queue.append(z)
-            out.append(sorted(orbit))
-        return out
+        return permutation_orbits(self.act, range(self.n))
 
     def stabilizer(self, x: int) -> tuple[int, ...]:
         return tuple(g for g in range(self.group.order) if self.act[g][x] == x)

@@ -181,8 +181,7 @@ def _cmd_lefschetz(args) -> int:
         group = doc.group
         print(f"m_max: {table.m_max}")
         for (h, m, a), v in sorted(table.entries.items()):
-            if v:
-                print(f"H={group.subgroup_label(h)} m={m} a={group.labels[a]}: {v}")
+            print(f"H={group.subgroup_label(h)} m={m} a={group.labels[a]}: {v}")
     return 0
 
 
@@ -222,18 +221,13 @@ def _cmd_add(args) -> int:
 def _binary_operands(args) -> tuple[documents.InputDocument, ZGRingElement, ZGRingElement]:
     doc1 = _load(args.expr_file1, "expr")
     doc2 = _load(args.expr_file2, "expr")
-    spec1 = json.dumps(doc1.raw_group, sort_keys=True)
-    spec2 = json.dumps(doc2.raw_group, sort_keys=True)
-    if spec1 != spec2:
+    if not doc1.group.is_same_as(doc2.group):
         raise DocumentError(
             f"{args.expr_file2}: group differs from {args.expr_file1}; "
             "binary operations need a common group"
         )
     # rebuild the second element on the first document's group instance
-    z2 = ZGRingElement(
-        doc1.group, {t: c for t, c in doc2.payload.coeffs.items()}
-    )
-    return doc1, doc1.payload, z2
+    return doc1, doc1.payload, ZGRingElement(doc1.group, doc2.payload.coeffs)
 
 
 def _cmd_acampo(args) -> int:

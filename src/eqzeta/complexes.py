@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .burnside import BurnsideElement, GSet, extend_action
+from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
 from .errors import ActionError, EqzetaError, RegularityError
 from .gperm import GPermutation, LefschetzTable, classify, lefschetz_table
 from .groups import FiniteGroup
@@ -157,21 +157,8 @@ class GComplex:
         for d in range(len(self.cells)):
             sign = 1 if d % 2 == 0 else -1
             rows = [self.action[g][d] for g in range(self.group.order)]
-            seen = [False] * self.cells[d]
-            for c in range(self.cells[d]):
-                if seen[c]:
-                    continue
-                orbit = [c]
-                seen[c] = True
-                queue = [c]
-                while queue:
-                    y = queue.pop()
-                    for row in rows:
-                        z = row[y]
-                        if not seen[z]:
-                            seen[z] = True
-                            orbit.append(z)
-                            queue.append(z)
+            for orbit in permutation_orbits(rows, range(self.cells[d])):
+                c = orbit[0]
                 stab = tuple(
                     g for g in range(self.group.order) if self.action[g][d][c] == c
                 )

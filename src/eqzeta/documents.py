@@ -231,12 +231,16 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
         by_pair[key] = value
         source[key] = path
     # spread conjugation-invariant values over all coset representatives
-    entries: dict = {}
+    reps_of_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for h_class, rep in enumerate(classes):
         for a in coset_representatives(group, rep.elements):
             pair = canonical_pair(group, rep.elements, a)
-            for m in range(1, m_max + 1):
-                entries[(h_class, m, a)] = by_pair.get((pair[0], m, pair[1]), 0)
+            reps_of_pair.setdefault(pair, []).append((h_class, a))
+    entries = {
+        (h_class, m, a): value
+        for (pair_class, m, pair_alpha), value in by_pair.items()
+        for h_class, a in reps_of_pair[(pair_class, pair_alpha)]
+    }
     return LefschetzTable(group, m_max, entries)
 
 
@@ -362,7 +366,6 @@ def structured_lefschetz(doc_group: Any, table: LefschetzTable) -> dict:
     entries = [
         {"H": h, "g": a, "m": m, "value": v}
         for (h, m, a), v in sorted(table.entries.items())
-        if v
     ]
     return {
         "kind": "lefschetz",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .burnside import BurnsideElement, GSet, extend_action
+from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
 from .zg import TripleClass, ZGRingElement, canonical_triple, triple_rep
@@ -156,25 +156,7 @@ def validate(p: GPermutation) -> None:
 
 def zg_orbits(p: GPermutation) -> list[list[int]]:
     """Orbits of the combined action of the group and sigma."""
-    seen = [False] * p.n
-    rows = [p.sigma] + [p.act[g] for g in p.group.generators]
-    out = []
-    for x in range(p.n):
-        if seen[x]:
-            continue
-        orbit = [x]
-        seen[x] = True
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for row in rows:
-                z = row[y]
-                if not seen[z]:
-                    seen[z] = True
-                    orbit.append(z)
-                    queue.append(z)
-        out.append(sorted(orbit))
-    return out
+    return permutation_orbits([p.sigma] + [p.act[g] for g in p.group.generators], range(p.n))
 
 
 def classify(p: GPermutation) -> ZGRingElement:
@@ -290,14 +272,18 @@ class LefschetzTable:
     makes the system triangular; on abelian groups the entries agree with
     the coefficients of the honest fixed-point G-sets.
 
-    Entries are stored densely for all 1 <= m <= m_max, all classes and all
-    coset representatives (least element index in each coset); values are
-    constant on simultaneous conjugation of (H, a).
+    Only nonzero entries are stored: the constructor drops zero values, so
+    equal tables have equal ``entries`` and ``get`` reads a missing key as 0.
+    Keys use coset representatives (least element index in each coset);
+    values are constant on simultaneous conjugation of (H, a).
     """
 
     group: FiniteGroup
     m_max: int
     entries: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.entries = {k: v for k, v in self.entries.items() if v}
 
     def get(self, h_class: int, m: int, alpha: int) -> int:
         return self.entries.get((h_class, m, alpha), 0)
@@ -327,18 +313,6 @@ class LefschetzTable:
             self.group, self.m_max, {key: k * v for key, v in self.entries.items()}
         )
 
-    def nonzero(self) -> dict:
-        return {k: v for k, v in self.entries.items() if v}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LefschetzTable):
-            return NotImplemented
-        return (
-            self.group is other.group
-            and self.m_max == other.m_max
-            and self.nonzero() == other.nonzero()
-        )
-
 
 def coset_representatives(group: FiniteGroup, h_elems: Sequence[int]) -> list[int]:
     """Least-element representatives of the cosets of H in its normalizer."""
@@ -366,8 +340,9 @@ def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
         fixed_locus = [
             x for x in range(p.n) if all(p.act[g][x] == x for g in h)
         ]
-        norm = group.normalizer(h)
-        units = _orbits_under(p, norm, fixed_locus)
+        units = permutation_orbits([p.act[g] for g in group.normalizer(h)], fixed_locus)
+        if sum(map(len, units)) != len(fixed_locus):
+            raise AssertionError("normalizer action leaves the fixed locus; this is a bug")
         reps = coset_representatives(group, h)
         per_class.append((h_class, units, reps))
     entries: dict = {}
@@ -381,33 +356,7 @@ def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
                 for unit in units:
                     if any(row[sig_m[x]] == x for x in unit):
                         count += 1
-                entries[(h_class, m, a)] = count
+                if count:
+                    entries[(h_class, m, a)] = count
     return LefschetzTable(group, m_max, entries)
 
-
-def _orbits_under(
-    p: GPermutation, elements: Sequence[int], points: Sequence[int]
-) -> list[list[int]]:
-    point_set = set(points)
-    seen = set()
-    out = []
-    for x in points:
-        if x in seen:
-            continue
-        orbit = [x]
-        seen.add(x)
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in elements:
-                z = p.act[g][y]
-                if z not in seen:
-                    if z not in point_set:
-                        raise AssertionError(
-                            "normalizer action leaves the fixed locus; this is a bug"
-                        )
-                    seen.add(z)
-                    orbit.append(z)
-                    queue.append(z)
-        out.append(orbit)
-    return out

@@ -182,6 +182,11 @@ class FiniteGroup:
         self._basis_product_cache: dict[tuple, dict] = {}
         self._column_cache: dict = {}
 
+    def is_same_as(self, other: "FiniteGroup") -> bool:
+        """Same multiplication table and generators, hence the same subgroup
+        class ids and canonical triples."""
+        return (self._mul, self.generators) == (other._mul, other.generators)
+
     # -- elementary operations -------------------------------------------
 
     def mul(self, a: int, b: int) -> int:

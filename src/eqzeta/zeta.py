@@ -6,9 +6,12 @@ triangular: the table column of one transitive class is supported on that
 class's own anchor entry (value m) plus entries whose named subgroup is
 conjugate into a strictly larger one, so walking candidate triples by
 increasing index m*[G:H] and subtracting realized columns solves it with
-exact integer arithmetic.  Any leftover residue or failed division means the
-table is not the data of any element, and is reported with the offending
-entry.
+exact integer arithmetic.  The walk visits only nonzero residual entries: a
+heap ordered by (index, triple) holds the entries at canonical pairs, and
+each column subtraction pushes the entries it touches, so the work follows
+the nonzeros of the table rather than m_max.  Any leftover residue or failed
+division means the table is not the data of any element, and is reported
+with the offending entry.
 
 ``classical_from_lefschetz`` is the non-equivariant special case: divisor
 recursion L(phi^m) = sum_{i|m} r_i with r_m = m * s_m.
@@ -16,6 +19,7 @@ recursion L(phi^m) = sum_{i|m} r_i with r_m = m * s_m.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,8 +53,7 @@ def _candidate_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
 
 def _column(group: FiniteGroup, t: TripleClass):
     """(period, base entries grouped by m) of the realized basis column."""
-    cache = group._column_cache.setdefault("columns", {})
-    cached = cache.get(t)
+    cached = group._column_cache.get(t)
     if cached is None:
         d = triple_z_period(group, t)
         base = lefschetz_table(realize(group, t), d)
@@ -59,10 +62,9 @@ def _column(group: FiniteGroup, t: TripleClass):
             raise AssertionError("basis column diagonal is off; this is a bug")
         by_m: dict[int, list] = {}
         for (h, m, a), v in base.entries.items():
-            if v:
-                by_m.setdefault(m, []).append((h, a, v))
+            by_m.setdefault(m, []).append((h, a, v))
         cached = (d, by_m)
-        cache[t] = cached
+        group._column_cache[t] = cached
     return cached
 
 
@@ -70,25 +72,27 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
     """Solve the triangular Lefschetz system for the unique element.
 
     With ``m_max == 0`` the truncation is derived from the data (largest m
-    carrying a nonzero entry); the residue check still runs, so inconsistent
-    or truncated tables are rejected rather than silently accepted.
+    carrying an entry); the residue check still runs, so inconsistent or
+    truncated tables are rejected rather than silently accepted.
     """
     group = table.group
-    m_max = table.m_max
-    if m_max == 0:
-        m_max = max((k[1] for k, v in table.entries.items() if v), default=0)
-    if m_max == 0:
-        return ZGRingElement.zero(group)
-    candidates = [
-        TripleClass(h, m, alpha)
-        for (h, alpha) in _candidate_pairs(group)
-        for m in range(1, m_max + 1)
-    ]
-    candidates.sort(key=lambda t: (triple_index(group, t), t))
+    m_max = table.m_max or max((k[1] for k in table.entries), default=0)
+    pairs = set(_candidate_pairs(group))
     residual = dict(table.entries)
+    heap: list = []
+
+    def push(key) -> None:
+        h, m, a = key
+        if (h, a) in pairs and 1 <= m <= m_max:
+            t = TripleClass(h, m, a)
+            heapq.heappush(heap, (triple_index(group, t), t))
+
+    for key in residual:
+        push(key)
     coeffs: dict[TripleClass, int] = {}
-    for t in candidates:
-        value = residual.get((t.h_class, t.m, t.alpha), 0)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        value = residual[(t.h_class, t.m, t.alpha)]
         if value == 0:
             continue
         k, rem = divmod(value, t.m)
@@ -103,7 +107,10 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
             base_m = ((m - 1) % d) + 1
             for h, a, v in by_m.get(base_m, ()):
                 key = (h, m, a)
-                residual[key] = residual.get(key, 0) - k * v
+                if key not in residual:
+                    residual[key] = 0
+                    push(key)
+                residual[key] -= k * v
     for key in sorted(residual):
         if residual[key]:
             h, m, a = key
@@ -118,10 +125,6 @@ def predicted_table(z: ZGRingElement, m_max: int) -> LefschetzTable:
     """The Lefschetz table a virtual element would produce."""
     group = z.group
     entries: dict = {}
-    for rep_class, rep in enumerate(group.subgroup_classes.classes):
-        for a in coset_representatives(group, rep.elements):
-            for m in range(1, m_max + 1):
-                entries[(rep_class, m, a)] = 0
     for t, k in z.coeffs.items():
         d, by_m = _column(group, t)
         for m in range(1, m_max + 1):

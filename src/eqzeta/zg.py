@@ -139,11 +139,6 @@ def zg_contains_bruteforce(
 
 def _quotient_subgroup(group: FiniteGroup, t: TripleClass, m_quot: int) -> frozenset:
     h, m, a = triple_rep(group, t)
-    cache = group._column_cache.setdefault("quotient_subgroups", {})
-    key = (t, m_quot)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
     elems = set()
     power = group.identity
     j = 0
@@ -155,9 +150,7 @@ def _quotient_subgroup(group: FiniteGroup, t: TripleClass, m_quot: int) -> froze
         elems |= cand
         j += 1
         power = group.mul(power, a)
-    out = frozenset(elems)
-    cache[key] = out
-    return out
+    return frozenset(elems)
 
 
 class ZGRingElement:

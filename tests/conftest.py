@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,10 @@ import eqzeta as eq
 from eqzeta.gperm import GPermutation, realize
 from eqzeta.zeta import _candidate_pairs
 from eqzeta.zg import TripleClass, canonical_triple
+
+# child interpreters started by the CLI tests import eqzeta from src as well
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def _build_suite():

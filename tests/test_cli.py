@@ -248,6 +248,63 @@ def test_mismatched_groups_in_binary_op(capsys):
     assert "common group" in err
 
 
+def _expr_doc(group, h, alpha):
+    return {"kind": "expr", "group": group,
+            "terms": [{"coeff": 1, "H": h, "m": 1, "alpha": alpha}]}
+
+
+@pytest.mark.parametrize("command", ["add", "mul", "st"])
+def test_same_group_path_naming_different_groups_is_rejected(capsys, tmp_path, command):
+    # both files say "group": "g.json", but the two g.json differ
+    for sub, group_fixture, expr in (
+        ("a", "group_c2.json", _expr_doc("g.json", [0], 1)),
+        ("b", "group_s3.json", _expr_doc("g.json", [0, 1, 2, 3, 4, 5], 0)),
+    ):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "g.json").write_text(Path(fx(group_fixture)).read_text())
+        (tmp_path / sub / "x.json").write_text(json.dumps(expr))
+    code, out, err = run(
+        capsys, command, str(tmp_path / "a" / "x.json"), str(tmp_path / "b" / "x.json")
+    )
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "common group" in err
+
+
+@pytest.mark.parametrize("command", ["add", "mul", "st"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_inline_and_path_reference_to_one_group_agree(capsys, tmp_path, command, fmt):
+    (tmp_path / "g.json").write_text(Path(fx("group_c2.json")).read_text())
+    by_path = tmp_path / "by_path.json"
+    by_path.write_text(json.dumps(_expr_doc("g.json", [0], 0)))
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(_expr_doc({"type": "cyclic", "n": 2}, [0], 0)))
+    first = fx("expr_twisted_c2.json")
+    code, mixed, err = run(capsys, command, first, str(by_path), "--format", fmt)
+    assert code == 0 and err == ""
+    _, both_inline, _ = run(capsys, command, first, str(inline), "--format", fmt)
+    assert mixed == both_inline
+
+
+def test_empty_lefschetz_document_parses_to_no_entries():
+    doc = parse_document(
+        '{"kind": "lefschetz", "group": {"type": "cyclic", "n": 2}, '
+        '"m_max": 1000, "entries": []}'
+    )
+    assert doc.payload.m_max == 1000
+    assert doc.payload.entries == {}
+
+
+def test_zeta_solve_cost_follows_entries_not_m_max(capsys, tmp_path):
+    table = tmp_path / "empty.json"
+    table.write_text(
+        '{"kind": "lefschetz", "group": {"type": "cyclic", "n": 2}, '
+        '"m_max": 3000000, "entries": []}'
+    )
+    code, out, err = run(capsys, "zeta-solve", str(table))
+    assert (code, out, err) == (0, "0\n1\n", "")
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "group",\n  "type": }\n')

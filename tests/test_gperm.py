@@ -158,7 +158,19 @@ def test_table_trivial_three_cycle():
     p = GPermutation(triv, 3, [[0, 1, 2]], [1, 2, 0])
     table = lefschetz_table(p)
     assert table.m_max == 3
-    assert table.entries == {(0, 1, 0): 0, (0, 2, 0): 0, (0, 3, 0): 3}
+    assert table.entries == {(0, 3, 0): 3}
+    assert table.get(0, 1, 0) == table.get(0, 2, 0) == 0
+
+
+def test_table_constructor_drops_zeros(suite_groups):
+    for _, group in suite_groups:
+        table = lefschetz_table(realize(group, next(iter(ZGRingElement.one(group).coeffs))), 4)
+        assert table.entries and all(table.entries.values())
+        assert (table - table).entries == {}
+        assert (0 * table).entries == {}
+        assert (table + table) - table == table
+    triv = eq.trivial()
+    assert eq.LefschetzTable(triv, 2, {(0, 1, 0): 0, (0, 2, 0): 1}).entries == {(0, 2, 0): 1}
 
 
 def test_table_single_fixed_point(suite_groups):

@@ -1,16 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.errors import EqzetaError, StratumError, TableError
-from eqzeta.gperm import GPermutation, classify, lefschetz_table, realize
+from eqzeta.gperm import (
+    GPermutation,
+    classify,
+    coset_representatives,
+    lefschetz_table,
+    realize,
+)
 from eqzeta.zeta import (
     StratumRecord,
     acampo,
     classical_from_lefschetz,
     classical_lefschetz_numbers,
     elementary_zeta,
+    predicted_table,
     sebastiani_thom,
     zeta_from_lefschetz,
 )
@@ -84,7 +93,13 @@ def test_single_entry_perturbations_change_output_or_fail(suite_groups):
         p = random_gperm(group, rng, max_points=10)
         table = lefschetz_table(p)
         baseline = zeta_from_lefschetz(table)
-        keys = sorted(table.entries)
+        # the full grid, zeros included: a table stores its nonzero entries only
+        keys = sorted(
+            (h, m, a)
+            for h, rep in enumerate(group.subgroup_classes.classes)
+            for a in coset_representatives(group, rep.elements)
+            for m in range(1, table.m_max + 1)
+        )
         for key in keys[:: max(1, len(keys) // 6)]:
             for delta in (-1, 1):
                 entries = dict(table.entries)
@@ -100,7 +115,6 @@ def test_single_entry_perturbations_change_output_or_fail(suite_groups):
 def test_solver_recovers_virtual_elements(suite_groups):
     """Tables of virtual elements (negative coefficients included) solve back."""
     rng = random.Random(83)
-    from eqzeta.zeta import predicted_table
     from eqzeta.zg import triple_z_period
 
     for _, group in suite_groups:
@@ -112,6 +126,25 @@ def test_solver_recovers_virtual_elements(suite_groups):
                 continue
             m_max = max(triple_z_period(group, t) for t in z.coeffs)
             assert zeta_from_lefschetz(predicted_table(z, m_max)) == z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=2)
+        )
+    ),
+    st.data(),
+)
+def test_solver_inverts_predicted_table_on_random_groups(case, data):
+    n_points, gens = case
+    group = eq.from_permutations(n_points, gens)
+    triples = canonical_triples(group, 3)
+    picks = data.draw(st.lists(st.sampled_from(triples), min_size=1, max_size=4))
+    z = ZGRingElement(group, {t: data.draw(st.integers(-3, 3)) for t in picks})
+    m_max = max((t.m for t in z.coeffs), default=1) + data.draw(st.integers(0, 3))
+    assert zeta_from_lefschetz(predicted_table(z, m_max)) == z
 
 
 def test_solve_derives_m_max_from_data():
