@@ -10,7 +10,7 @@ as the oracle for the marks route.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ActionError
 from .groups import FiniteGroup
@@ -41,6 +41,14 @@ def permutation_orbits(
                     orbit.append(z)
         out.append(sorted(orbit))
     return out
+
+
+def sigma_powers(sigma: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
+    """sigma^1, ..., sigma^count, each as the tuple of point images."""
+    power = tuple(range(len(sigma)))
+    for _ in range(count):
+        power = tuple(sigma[x] for x in power)
+        yield power
 
 
 class GSet:
@@ -115,7 +123,7 @@ def extend_action(
     gen_perms = []
     for i, img in enumerate(images):
         t = tuple(int(x) for x in img)
-        if sorted(t) != list(range(n)):
+        if len(t) != n or sorted(t) != list(range(n)):
             raise ActionError(f"image of generator {i} is not a bijection on {n} points")
         gen_perms.append(t)
     identity = tuple(range(n))

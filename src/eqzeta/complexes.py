@@ -12,13 +12,22 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
+from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
 from .errors import ActionError, EqzetaError, RegularityError
 from .gperm import GPermutation, LefschetzTable, classify, lefschetz_table
 from .groups import FiniteGroup
 from .zg import ZGRingElement
 
 MAX_CELLS = 10_000
+
+
+def _checked_cell_counts(cells: Sequence[int]) -> tuple[int, ...]:
+    counts = tuple(int(c) for c in cells)
+    if any(c < 0 for c in counts):
+        raise EqzetaError("cell counts must be nonnegative")
+    if sum(counts) > MAX_CELLS:
+        raise EqzetaError(f"complex exceeds {MAX_CELLS} cells")
+    return counts
 
 
 class GComplex:
@@ -40,11 +49,7 @@ class GComplex:
         validate: bool = True,
     ):
         self.group = group
-        self.cells = tuple(int(c) for c in cells)
-        if any(c < 0 for c in self.cells):
-            raise EqzetaError("cell counts must be nonnegative")
-        if sum(self.cells) > MAX_CELLS:
-            raise EqzetaError(f"complex exceeds {MAX_CELLS} cells")
+        self.cells = _checked_cell_counts(cells)
         dims = len(self.cells)
         if len(boundary) != dims:
             raise EqzetaError(
@@ -70,6 +75,7 @@ class GComplex:
         images: Sequence[Sequence[Sequence[int]]],
     ) -> "GComplex":
         """Build the full action from per-generator, per-dimension images."""
+        cells = _checked_cell_counts(cells)  # before any action row is built
         dims = len(cells)
         for i, per_gen in enumerate(images):
             if len(per_gen) != dims:
@@ -229,11 +235,8 @@ def check_joint_regularity(k: GComplex, f: GCellularMap) -> None:
     group = k.group
     dims = len(k.cells)
     period = f.z_period()
-    powers = [tuple(range(k.cells[d])) for d in range(dims)]
-    for m in range(1, period + 1):
-        powers = [
-            tuple(f.maps[d][x] for x in powers[d]) for d in range(dims)
-        ]
+    per_dim = [sigma_powers(perm, period) for perm in f.maps]
+    for m, powers in enumerate(zip(*per_dim), start=1):
         for g in range(group.order):
             for d in range(dims):
                 row = k.action[g][d]

@@ -18,7 +18,7 @@ from typing import Any
 from .burnside import BurnsideElement
 from .complexes import GCellularMap, GComplex
 from .errors import DocumentError, EqzetaError
-from .gperm import GPermutation, LefschetzTable, coset_representatives
+from .gperm import GPermutation, LefschetzTable
 from .groups import FiniteGroup, build_group
 from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_pair, canonical_triple
 from .zeta import StratumRecord
@@ -195,7 +195,6 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
     if not isinstance(raw, list):
         raise DocumentError("entries: expected an array")
     classes = group.subgroup_classes.classes
-    values: dict[tuple[int, int], dict] = {}
     by_pair: dict[tuple[int, int, int], int] = {}
     source: dict[tuple[int, int, int], str] = {}
     for i, item in enumerate(raw):
@@ -231,15 +230,11 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
         by_pair[key] = value
         source[key] = path
     # spread conjugation-invariant values over all coset representatives
-    reps_of_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for h_class, rep in enumerate(classes):
-        for a in coset_representatives(group, rep.elements):
-            pair = canonical_pair(group, rep.elements, a)
-            reps_of_pair.setdefault(pair, []).append((h_class, a))
     entries = {
-        (h_class, m, a): value
-        for (pair_class, m, pair_alpha), value in by_pair.items()
-        for h_class, a in reps_of_pair[(pair_class, pair_alpha)]
+        (h_class, m, r): value
+        for (h_class, m, alpha), value in by_pair.items()
+        for r, canonical in group.pair_table[h_class].items()
+        if canonical == alpha
     }
     return LefschetzTable(group, m_max, entries)
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
+from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
 from .zg import TripleClass, ZGRingElement, canonical_triple, triple_rep
@@ -59,6 +59,8 @@ class GPermutation:
         images: Sequence[Sequence[int]],
         sigma: Sequence[int],
     ) -> "GPermutation":
+        if not group.generators and len(sigma) != n:  # no image array bounds n here
+            raise ActionError(f"sigma has {len(sigma)} entries, expected {n}")
         return cls(group, n, extend_action(group, n, images), sigma)
 
     def _check_commutation(self) -> None:
@@ -80,8 +82,8 @@ class GPermutation:
         if m < 0:
             raise EqzetaError("negative powers are not needed; sigma has finite order")
         sig = tuple(range(self.n))
-        for _ in range(m):
-            sig = tuple(self.sigma[x] for x in sig)
+        for sig in sigma_powers(self.sigma, m):
+            pass
         return GPermutation(self.group, self.n, self.act, sig, validate=False)
 
     def disjoint_union(self, other: "GPermutation") -> "GPermutation":
@@ -223,15 +225,21 @@ def realize(group: FiniteGroup, t: TripleClass) -> GPermutation:
 
 
 def realize_element(group: FiniteGroup, z: ZGRingElement) -> GPermutation:
-    """Disjoint union of realized basis triples; requires nonnegative coefficients."""
-    p = GPermutation(group, 0, [() for _ in range(group.order)], (), validate=False)
+    """Disjoint union of realized basis triples, built in one pass; requires
+    nonnegative coefficients."""
+    act: list[list[int]] = [[] for _ in range(group.order)]
+    sigma: list[int] = []
     for t in sorted(z.coeffs):
         c = z.coeffs[t]
         if c < 0:
             raise EqzetaError("cannot realize an element with negative coefficients")
+        part = realize(group, t)
         for _ in range(c):
-            p = p.disjoint_union(realize(group, t))
-    return p
+            offset = len(sigma)
+            for row, part_row in zip(act, part.act):
+                row.extend(x + offset for x in part_row)
+            sigma.extend(x + offset for x in part.sigma)
+    return GPermutation(group, len(sigma), act, sigma, validate=False)
 
 
 def equivariant_lefschetz(g: int, p: GPermutation) -> BurnsideElement:
@@ -288,25 +296,18 @@ class LefschetzTable:
     def get(self, h_class: int, m: int, alpha: int) -> int:
         return self.entries.get((h_class, m, alpha), 0)
 
-    def _check_compatible(self, other: "LefschetzTable") -> None:
+    def __add__(self, other: "LefschetzTable") -> "LefschetzTable":
         if self.group is not other.group:
             raise EqzetaError("tables belong to different groups")
         if self.m_max != other.m_max:
             raise EqzetaError("tables have different m_max")
-
-    def __add__(self, other: "LefschetzTable") -> "LefschetzTable":
-        self._check_compatible(other)
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v
         return LefschetzTable(self.group, self.m_max, out)
 
     def __sub__(self, other: "LefschetzTable") -> "LefschetzTable":
-        self._check_compatible(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) - v
-        return LefschetzTable(self.group, self.m_max, out)
+        return self + (-1) * other
 
     def __rmul__(self, k: int) -> "LefschetzTable":
         return LefschetzTable(
@@ -337,18 +338,13 @@ def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
     per_class = []
     for h_class, rep in enumerate(group.subgroup_classes.classes):
         h = rep.elements
-        fixed_locus = [
-            x for x in range(p.n) if all(p.act[g][x] == x for g in h)
-        ]
+        fixed_locus = [x for x in range(p.n) if all(p.act[g][x] == x for g in h)]
         units = permutation_orbits([p.act[g] for g in group.normalizer(h)], fixed_locus)
         if sum(map(len, units)) != len(fixed_locus):
             raise AssertionError("normalizer action leaves the fixed locus; this is a bug")
-        reps = coset_representatives(group, h)
-        per_class.append((h_class, units, reps))
+        per_class.append((h_class, units, group.pair_table[h_class]))
     entries: dict = {}
-    sig_m = list(range(p.n))
-    for m in range(1, m_max + 1):
-        sig_m = [p.sigma[x] for x in sig_m]
+    for m, sig_m in enumerate(sigma_powers(p.sigma, m_max), start=1):
         for h_class, units, reps in per_class:
             for a in reps:
                 row = p.act[a]

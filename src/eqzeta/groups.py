@@ -83,7 +83,8 @@ class TableOfMarks:
 class _Lattice(NamedTuple):
     classes: SubgroupClassTable
     marks: TableOfMarks
-    class_id: dict[tuple[int, ...], int]  # every subgroup -> its class id
+    conjugator: dict[tuple[int, ...], tuple[int, int]]  # subgroup -> (class id, c)
+    normalizers: tuple[tuple[int, ...], ...]  # N(K) for each class representative K
 
 
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -95,10 +96,10 @@ class FiniteGroup:
     """A finite group defined by an explicit multiplication table.
 
     The multiplication table, identity, inverses and generators are fixed at
-    construction.  Derived data (the subgroup lattice, classes, marks and the
-    memo dicts of ``zg`` and ``zeta``) is computed on first read and cached on
-    the instance, so reads write to it: an instance is not safe to share
-    between threads without a lock.
+    construction.  Derived data (the subgroup lattice, classes, marks, pair
+    table and the memo dicts of ``zg`` and ``zeta``) is computed on first read
+    and cached on the instance, so reads write to it: an instance is not safe
+    to share between threads without a lock.
     """
 
     def __init__(
@@ -177,8 +178,7 @@ class FiniteGroup:
         if len(self.closure(self.generators)) != n:
             raise GroupError("the listed generators do not generate the group")
 
-        # lazy caches keyed by value tuples; see zg.canonical_triple
-        self._pair_cache: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
+        # memo dicts, each written by one function: zg._basis_product, zeta._column
         self._basis_product_cache: dict[tuple, dict] = {}
         self._column_cache: dict = {}
 
@@ -257,7 +257,8 @@ class FiniteGroup:
         return Subgroup(t)
 
     def conjugate_subgroup(self, a: int, elems: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.conj(a, h) for h in elems))
+        row, ia = self._mul[a], self._inv[a]
+        return tuple(sorted(self._mul[row[h]][ia] for h in elems))
 
     @cached_property
     def all_subgroups(self) -> tuple[tuple[int, ...], ...]:
@@ -289,23 +290,27 @@ class FiniteGroup:
 
     @cached_property
     def _lattice(self) -> _Lattice:
-        """Classes, marks and the subgroup -> class id map in one pass.
+        """Classes, marks, conjugators and normalizers in one pass.
 
         ``all_subgroups`` is sorted by (order, elements) and conjugates have
         equal order, so the first subgroup met in each class is its least
-        member and the representatives come out in class order.  The marks
-        count containments in the conjugates of each representative (see
-        ``TableOfMarks``); subconjugacy is where the marks are positive.
+        member and the representatives come out in class order.  Conjugating
+        K by all of G gives each conjugate H with some c that has H = cKc^-1,
+        and N(K).  The marks count containments in the conjugates
+        (see ``TableOfMarks``); subconjugacy is where the marks are positive.
         """
         orbits: dict[tuple[int, ...], list[frozenset[int]]] = {}
-        class_id: dict[tuple[int, ...], int] = {}
+        conjugator: dict[tuple[int, ...], tuple[int, int]] = {}
+        normalizers = []
         for h in self.all_subgroups:
-            if h in class_id:
+            if h in conjugator:
                 continue
-            orbit = {self.conjugate_subgroup(a, h) for a in range(self.order)}
-            for k in orbit:
-                class_id[k] = len(orbits)
-            orbits[h] = [frozenset(k) for k in orbit]
+            conjugates = [self.conjugate_subgroup(a, h) for a in range(self.order)]
+            reached = dict(zip(conjugates, range(self.order)))  # conjugate -> an a reaching it
+            for k, a in reached.items():
+                conjugator[k] = (len(orbits), a)
+            orbits[h] = [frozenset(k) for k in reached]
+            normalizers.append(tuple(a for a, k in enumerate(conjugates) if k == h))
         reps = list(orbits)
         rep_sets = [frozenset(h) for h in reps]
         matrix = []
@@ -323,7 +328,7 @@ class FiniteGroup:
             class_sizes=tuple(len(orbits[r]) for r in reps),
             subconjugacy=tuple(tuple(matrix[k][h] > 0 for k in range(n)) for h in range(n)),
         )
-        return _Lattice(classes, TableOfMarks(matrix=tuple(matrix)), class_id)
+        return _Lattice(classes, TableOfMarks(tuple(matrix)), conjugator, tuple(normalizers))
 
     @cached_property
     def subgroup_classes(self) -> SubgroupClassTable:
@@ -335,20 +340,37 @@ class FiniteGroup:
 
     def class_of_subgroup(self, elems: Iterable[int]) -> int:
         """Class id of a subgroup (canonicalized by conjugation)."""
+        return self.class_conjugator(elems)[0]
+
+    def class_conjugator(self, elems: Iterable[int]) -> tuple[int, int]:
+        """(k, c) for a subgroup H: its class id k and an element c with
+        H = c K c^-1, K the representative of class k."""
         t = tuple(sorted(elems))
-        class_id = self._lattice.class_id.get(t)
-        if class_id is None:
+        found = self._lattice.conjugator.get(t)
+        if found is None:
             raise GroupError(f"{t} is not a subgroup")
-        return class_id
+        return found
 
     def normalizer(self, elems: Iterable[int]) -> tuple[int, ...]:
-        """{a in G : a^-1 H a = H}; always contains H."""
+        """{a in G : a H a^-1 = H}, read as c N(K) c^-1 for H = c K c^-1 with
+        K its class representative; repeated elements are ignored."""
         t = tuple(sorted(elems))
-        if not self.is_subgroup(t):
+        found = self._lattice.conjugator.get(tuple(sorted(set(t))))
+        if found is None:
             raise GroupError(f"{t} is not a subgroup")
-        s = set(t)
+        k, c = found
+        return tuple(sorted(self.conj(c, a) for a in self._lattice.normalizers[k]))
+
+    @cached_property
+    def pair_table(self) -> tuple[dict[int, int], ...]:
+        """``pair_table[k][r]`` is the canonical alpha of the pair (K, rK), for
+        K = classes[k] and r running over the least elements of the cosets of
+        K in N(K), increasing.  Conjugating by n in N(K) fixes K and moves rK
+        to n^-1 r n K; alpha is the least representative over all n."""
         return tuple(
-            a for a in range(self.order) if {self.conj(a, h) for h in t} == s
+            {r: min(self.coset_min(rep.elements, self.conj(self._inv[n], r)) for n in norm)
+             for r in sorted({self.coset_min(rep.elements, n) for n in norm})}
+            for rep, norm in zip(self.subgroup_classes.classes, self._lattice.normalizers)
         )
 
     def coset_min(self, h_elems: Sequence[int], a: int) -> int:

@@ -23,11 +23,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .burnside import sigma_powers
 from .errors import EqzetaError, StratumError, TableError
 from .gperm import (
     GPermutation,
     LefschetzTable,
-    coset_representatives,
     lefschetz_table,
     realize,
 )
@@ -36,19 +36,10 @@ from .zg import (
     ClassicalZeta,
     TripleClass,
     ZGRingElement,
-    canonical_pair,
     canonical_triple,
     triple_index,
     triple_z_period,
 )
-
-
-def _candidate_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
-    pairs = set()
-    for rep in group.subgroup_classes.classes:
-        for a in coset_representatives(group, rep.elements):
-            pairs.add(canonical_pair(group, rep.elements, a))
-    return sorted(pairs)
 
 
 def _column(group: FiniteGroup, t: TripleClass):
@@ -77,7 +68,7 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
     """
     group = table.group
     m_max = table.m_max or max((k[1] for k in table.entries), default=0)
-    pairs = set(_candidate_pairs(group))
+    pairs = {(k, alpha) for k, alphas in enumerate(group.pair_table) for alpha in alphas.values()}
     residual = dict(table.entries)
     heap: list = []
 
@@ -138,12 +129,7 @@ def classical_lefschetz_numbers(p: GPermutation, m_max: int = 0) -> list[int]:
     """Plain fixed-point counts of sigma^m for m = 1..m_max (period if 0)."""
     if m_max == 0:
         m_max = p.z_period()
-    out = []
-    sig_m = list(range(p.n))
-    for _ in range(m_max):
-        sig_m = [p.sigma[x] for x in sig_m]
-        out.append(sum(1 for x in range(p.n) if sig_m[x] == x))
-    return out
+    return [sum(x == y for x, y in enumerate(sig_m)) for sig_m in sigma_powers(p.sigma, m_max)]
 
 
 def classical_from_lefschetz(numbers: Sequence[int]) -> ClassicalZeta:

@@ -6,7 +6,8 @@ normalizer.  The subgroup is generated by {0} x H together with (m, a) for
 any representative a of alpha.  Two triples give conjugate subgroups exactly
 when they have the same m and the pairs (H, alpha) are simultaneously
 conjugate in G; ``canonical_triple`` reduces to the lexicographically least
-such pair so triples can be hashed and compared.
+such pair, read from ``FiniteGroup.pair_table``, so triples can be hashed
+and compared.
 
 ``ClassicalZeta`` is the image ring: rational functions of the shape
 prod (1 - t^m)^{s_m}, stored as the finite exponent mapping m -> s_m and
@@ -42,29 +43,18 @@ def canonical_pair(group: FiniteGroup, h_elems: Sequence[int], a: int) -> tuple[
     """Canonicalize (H, a*H) under simultaneous conjugation.
 
     Returns (class id of H, least alpha index).  ``a`` must normalize H.
+    With H = c K c^-1 for the class representative K, (H, aH) is conjugate to
+    (K, bK) for b = c^-1 a c, and ``group.pair_table`` holds bK's alpha.
     """
-    key = (tuple(sorted(h_elems)), a)
-    cached = group._pair_cache.get(key)
-    if cached is not None:
-        return cached
-    h = key[0]
-    if not group.is_subgroup(h):
-        raise GroupError(f"{h} is not a subgroup")
-    if a not in group.normalizer(h):
-        raise GroupError(
-            f"element {a} does not normalize the subgroup {h}"
-        )
-    best = None
-    for c in range(group.order):
-        ic = group.inv(c)
-        h_c = tuple(sorted(group.conj(ic, x) for x in h))
-        a_c = group.conj(ic, a)
-        cand = (h_c, group.coset_min(h_c, a_c))
-        if best is None or cand < best:
-            best = cand
-    result = (group.class_of_subgroup(best[0]), best[1])
-    group._pair_cache[key] = result
-    return result
+    h = tuple(sorted(h_elems))
+    h_class, c = group.class_conjugator(h)
+    if 0 <= a < group.order:
+        rep = group.subgroup_classes.classes[h_class].elements
+        b = group.conj(group.inv(c), a)
+        alpha = group.pair_table[h_class].get(group.coset_min(rep, b))
+        if alpha is not None:
+            return h_class, alpha
+    raise GroupError(f"element {a} does not normalize the subgroup {h}")
 
 
 def canonical_triple(
@@ -268,7 +258,7 @@ class ZGRingElement:
 
 
 def _basis_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict:
-    key = ("basis_product", *sorted((t1, t2)))
+    key = tuple(sorted((t1, t2)))
     cached = group._basis_product_cache.get(key)
     if cached is None:
         from .gperm import classify, realize  # deferred: gperm imports this module

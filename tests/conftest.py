@@ -6,7 +6,6 @@ import pytest
 
 import eqzeta as eq
 from eqzeta.gperm import GPermutation, realize
-from eqzeta.zeta import _candidate_pairs
 from eqzeta.zg import TripleClass, canonical_triple
 
 # child interpreters started by the CLI tests import eqzeta from src as well
@@ -41,11 +40,10 @@ def small_groups():
 
 def canonical_triples(group, max_m):
     """All canonical triples with m up to max_m."""
-    return [
-        TripleClass(h, m, a)
-        for (h, a) in _candidate_pairs(group)
-        for m in range(1, max_m + 1)
-    ]
+    pairs = sorted(
+        {(h, alpha) for h, alphas in enumerate(group.pair_table) for alpha in alphas.values()}
+    )
+    return [TripleClass(h, m, a) for (h, a) in pairs for m in range(1, max_m + 1)]
 
 
 def empty_gperm(group):

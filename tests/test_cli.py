@@ -305,6 +305,35 @@ def test_zeta_solve_cost_follows_entries_not_m_max(capsys, tmp_path):
     assert (code, out, err) == (0, "0\n1\n", "")
 
 
+_C1, _C2 = {"type": "cyclic", "n": 1}, {"type": "cyclic", "n": 2}
+_HUGE = 10**12
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("classify", {"kind": "gperm", "group": _C2, "points": _HUGE,
+                      "action": [[0]], "sigma": [0]}, "is not a bijection"),
+        ("classify", {"kind": "gperm", "group": _C1, "points": _HUGE,
+                      "action": [], "sigma": []}, "sigma has 0 entries"),
+        ("chi", {"kind": "complex", "group": _C2, "cells": [_HUGE],
+                 "boundary": [[]], "action": [[[0]]]}, "exceeds 10000 cells"),
+        ("chi", {"kind": "complex", "group": _C1, "cells": [_HUGE],
+                 "boundary": [[]], "action": []}, "exceeds 10000 cells"),
+    ],
+    ids=["gperm_c2", "gperm_c1", "complex_c2", "complex_c1"],
+)
+def test_declared_size_is_checked_before_anything_of_that_size_is_built(
+    capsys, tmp_path, command, doc, message
+):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert message in err
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "group",\n  "type": }\n')

@@ -83,6 +83,16 @@ def test_joint_regularity_violation_reported():
         brute_zeta(k, f)
 
 
+def test_joint_regularity_witness_names_the_first_failing_power():
+    # f swaps two disjoint edges; f^2 fixes each edge but swaps its endpoints
+    triv = eq.trivial()
+    k = GComplex.from_generator_images(triv, [4, 2], [[()] * 4, [(0, 1), (2, 3)]], [])
+    f = GCellularMap(k, [[2, 3, 1, 0], [1, 0]])
+    with pytest.raises(RegularityError) as info:
+        check_joint_regularity(k, f)
+    assert str(info.value) == "g∘f^2 with g=e fixes cell (1,0) but moves its face (0,0)"
+
+
 def test_identity_on_fixed_vertex():
     triv = eq.trivial()
     k = corpus.point_complex(triv)

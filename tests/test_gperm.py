@@ -10,12 +10,13 @@ from eqzeta.gperm import (
     equivariant_lefschetz,
     lefschetz_table,
     realize,
+    realize_element,
     zg_orbits,
 )
 from eqzeta.zeta import predicted_table
 from eqzeta.zg import ZGRingElement, canonical_triple
 
-from conftest import canonical_triples, random_gperm
+from conftest import canonical_triples, empty_gperm, random_gperm
 
 
 def swap_model():
@@ -248,3 +249,33 @@ def test_abelian_coefficients_match_containment_sums(suite_groups):
                             and eq.zg_contains(group, eval_triple, t)
                         )
                         assert value.coefficient(h_class) == predicted, (name, m, g)
+
+
+def test_realize_element_equals_disjoint_union_fold(suite_groups):
+    rng = random.Random(67)
+    for name, group in suite_groups:
+        triples = canonical_triples(group, 3)
+        picks = [rng.sample(triples, min(6, len(triples))) for _ in range(3)]
+        elements = [ZGRingElement.zero(group)] + [
+            ZGRingElement(group, {t: rng.randint(1, 3) for t in picked}) for picked in picks
+        ]
+        for z in elements:
+            fold = empty_gperm(group)
+            for t in sorted(z.coeffs):
+                for _ in range(z.coeffs[t]):
+                    fold = fold.disjoint_union(realize(group, t))
+            p = realize_element(group, z)
+            assert (p.n, p.act, p.sigma) == (fold.n, fold.act, fold.sigma), name
+    with pytest.raises(eq.EqzetaError, match="negative"):
+        realize_element(group, ZGRingElement(group, {triples[0]: -1}))
+
+
+def test_power_is_repeated_composition(suite_groups):
+    rng = random.Random(71)
+    for _, group in suite_groups:
+        p = random_gperm(group, rng, max_points=12)
+        sig = tuple(range(p.n))
+        for m in range(0, p.z_period() + 2):
+            pm = p.power(m)
+            assert pm.sigma == sig and pm.act == p.act
+            sig = tuple(p.sigma[x] for x in sig)

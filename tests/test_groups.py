@@ -373,3 +373,102 @@ def test_class_of_subgroup_maps_every_conjugate(suite_groups):
             if group.element_order(g) > 2:
                 with pytest.raises(GroupError):
                     group.class_of_subgroup((group.identity, g))
+
+
+# -- the canonical-pair and normalizer algorithms the library used before the
+# lattice pass recorded conjugators and normalizers, kept as oracles -----------
+
+
+def oracle_normalizer(group, elems):
+    """Scan G for the a with a H a^-1 = H."""
+    t = tuple(sorted(elems))
+    if not group.is_subgroup(t):
+        raise GroupError(f"{t} is not a subgroup")
+    s = set(t)
+    return tuple(a for a in range(group.order) if {group.conj(a, h) for h in t} == s)
+
+
+def oracle_canonical_pair(group, h_elems, a):
+    """Least (c^-1 H c, least element of c^-1 a c H) over every c in G."""
+    h = tuple(sorted(h_elems))
+    if not group.is_subgroup(h):
+        raise GroupError(f"{h} is not a subgroup")
+    if a not in oracle_normalizer(group, h):
+        raise GroupError(f"element {a} does not normalize the subgroup {h}")
+    best = None
+    for c in range(group.order):
+        ic = group.inv(c)
+        h_c = tuple(sorted(group.conj(ic, x) for x in h))
+        cand = (h_c, group.coset_min(h_c, group.conj(ic, a)))
+        if best is None or cand < best:
+            best = cand
+    return group.class_of_subgroup(best[0]), best[1]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GroupError as exc:
+        return f"GroupError: {exc}"
+
+
+def _assert_pairs_match_oracles(group, extra_tuples=()):
+    from eqzeta.zg import canonical_pair
+
+    for h in list(group.all_subgroups) + list(extra_tuples):
+        repeated = len(set(h)) < len(h)
+        assert _outcome(group.normalizer, h) == _outcome(oracle_normalizer, group, h)
+        for a in range(-1, group.order + 1):
+            new = _outcome(canonical_pair, group, h, a)
+            old = _outcome(oracle_canonical_pair, group, h, a)
+            if not repeated:
+                assert new == old, (h, a)
+            else:
+                # never a subgroup as given: both reject it
+                assert new == f"GroupError: {tuple(sorted(h))} is not a subgroup", (h, a)
+                assert old.startswith("GroupError: "), (h, a)
+
+
+def _assert_conjugators_are_stored_correctly(group):
+    classes = group.subgroup_classes.classes
+    for h in group.all_subgroups:
+        k, c = group.class_conjugator(h)
+        assert group.conjugate_subgroup(c, classes[k].elements) == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+        )
+    ),
+    st.data(),
+)
+def test_pairs_and_normalizers_match_oracles(case, data):
+    group = _capped_perm_group(*case)
+    element = st.integers(0, group.order - 1)
+    extra = data.draw(st.lists(st.lists(element, max_size=6), max_size=6))
+    # subgroups with one element listed twice
+    extra += [h + (data.draw(st.sampled_from(h)),) for h in group.all_subgroups]
+    _assert_pairs_match_oracles(group, [tuple(t) for t in extra])
+    _assert_conjugators_are_stored_correctly(group)
+
+
+def test_pairs_and_normalizers_match_oracles_on_s4xc2():
+    group = eq.product(eq.symmetric(4), eq.cyclic(2))
+    _assert_pairs_match_oracles(group, [(0, 1), (0, 0, 1), ()])
+    _assert_conjugators_are_stored_correctly(group)
+
+
+def test_conjugators_are_stored_correctly(suite_groups):
+    for _, group in suite_groups:
+        _assert_conjugators_are_stored_correctly(group)
+
+
+def test_pair_table_keys_are_the_coset_representatives(suite_groups):
+    for _, group in suite_groups:
+        for k, rep in enumerate(group.subgroup_classes.classes):
+            h = rep.elements
+            reps = sorted({group.coset_min(h, a) for a in oracle_normalizer(group, h)})
+            assert list(group.pair_table[k]) == reps
