@@ -19,6 +19,7 @@ Canonical element orders (fixed so that documents are reproducible):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -87,6 +88,11 @@ class _Lattice(NamedTuple):
     normalizers: tuple[tuple[int, ...], ...]  # N(K) for each class representative K
 
 
+def _check_order(order: int, order_bound: int) -> None:
+    if order > order_bound:
+        raise GroupError(f"group order {order} exceeds the bound {order_bound}")
+
+
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     # (p o q)(x) = p[q[x]]
     return tuple(p[x] for x in q)
@@ -115,8 +121,7 @@ class FiniteGroup:
         n = len(mul_table)
         if n == 0:
             raise GroupError("a group needs at least one element")
-        if n > order_bound:
-            raise GroupError(f"group order {n} exceeds the bound {order_bound}")
+        _check_order(n, order_bound)
         rows = []
         for i, row in enumerate(mul_table):
             r = tuple(int(x) for x in row)
@@ -149,13 +154,24 @@ class FiniteGroup:
                 raise GroupError(f"element {a} has no two-sided inverse")
         self._inv = tuple(inv)
 
+        if generators is None:
+            generators = [g for g in range(n) if g != identity]
+        for g in generators:
+            if not 0 <= g < n:
+                raise GroupError(f"generator index {g} out of range")
+        self.generators = tuple(int(g) for g in generators)
+        if len(self.closure(self.generators)) != n:
+            raise GroupError("the listed generators do not generate the group")
+
         if validate:
+            # Light's test: the b with (a b) c = a (b c) for all a, c are closed
+            # under products, and the closure above reached every element as
+            # a left-normed product of generators, so generators b suffice
             mul = self._mul
             for a in range(n):
                 row_a = mul[a]
-                for b in range(n):
-                    ab = row_a[b]
-                    row_ab = mul[ab]
+                for b in self.generators:
+                    row_ab = mul[row_a[b]]
                     row_b = mul[b]
                     for c in range(n):
                         if row_ab[c] != row_a[row_b[c]]:
@@ -169,16 +185,8 @@ class FiniteGroup:
             raise GroupError("labels length does not match group order")
         self.labels = tuple(str(x) for x in labels)
 
-        if generators is None:
-            generators = [g for g in range(n) if g != identity]
-        for g in generators:
-            if not 0 <= g < n:
-                raise GroupError(f"generator index {g} out of range")
-        self.generators = tuple(int(g) for g in generators)
-        if len(self.closure(self.generators)) != n:
-            raise GroupError("the listed generators do not generate the group")
-
-        # memo dicts, each written by one function: zg._basis_product, zeta._column
+        # memo dicts, each written by one function: zg._basis_product (Mackey
+        # products keyed by the sorted triple pair), zeta._column (by triple)
         self._basis_product_cache: dict[tuple, dict] = {}
         self._column_cache: dict = {}
 
@@ -396,11 +404,14 @@ class FiniteGroup:
 
 
 # -- builders --------------------------------------------------------------
+# Each builder compares the order with the bound before it builds anything
+# of that size.
 
 
 def cyclic(n: int, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"cyclic group order must be positive, got {n}")
+    _check_order(n, order_bound)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     gens = [1] if n > 1 else []
     return FiniteGroup(
@@ -411,6 +422,7 @@ def cyclic(n: int, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
 def dihedral(n: int, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"dihedral parameter must be positive, got {n}")
+    _check_order(2 * n, order_bound)
 
     def mul(i: int, j: int) -> int:
         a, b = i % n, i // n
@@ -428,10 +440,14 @@ def dihedral(n: int, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
 def symmetric(n: int, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"symmetric group degree must be positive, got {n}")
+    order = 1
+    for k in range(2, n + 1):  # k! passes the bound long before a huge n
+        order *= k
+        if order > order_bound:
+            shown = math.factorial(n) if n <= 20 else f"{n}!"
+            raise GroupError(f"group order {shown} exceeds the bound {order_bound}")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    if len(perms) > order_bound:
-        raise GroupError(f"group order {len(perms)} exceeds the bound {order_bound}")
     table = [[index[_compose(p, q)] for q in perms] for p in perms]
     gens = []
     if n >= 2:
@@ -447,8 +463,7 @@ def symmetric(n: int, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
 
 def product(g1: FiniteGroup, g2: FiniteGroup, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     n1, n2 = g1.order, g2.order
-    if n1 * n2 > order_bound:
-        raise GroupError(f"group order {n1 * n2} exceeds the bound {order_bound}")
+    _check_order(n1 * n2, order_bound)
 
     def pack(a: int, b: int) -> int:
         return a * n2 + b

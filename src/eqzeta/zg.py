@@ -9,6 +9,12 @@ conjugate in G; ``canonical_triple`` reduces to the lexicographically least
 such pair, read from ``FiniteGroup.pair_table``, so triples can be hashed
 and compared.
 
+The product of two basis triples is the class of the Cartesian product of
+their coset models.  It is computed by the Mackey double-coset route: the
+stabilizer of the base point of one model acts on the other model, and
+each of its orbits names one orbit of the product; the product set itself
+is never built.  The results are memoized per group by the sorted pair.
+
 ``ClassicalZeta`` is the image ring: rational functions of the shape
 prod (1 - t^m)^{s_m}, stored as the finite exponent mapping m -> s_m and
 never expanded into polynomial coefficients.
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .burnside import permutation_orbits, sigma_powers
 from .errors import EqzetaError, GroupError
 from .groups import FiniteGroup, Subgroup
 
@@ -204,9 +211,11 @@ class ZGRingElement:
     def __mul__(self, other: "ZGRingElement") -> "ZGRingElement":
         """Cartesian product with the diagonal action, extended bilinearly.
 
-        Basis products are computed by realizing both triples, forming the
-        product permutation and classifying the result; there is no closed
-        product formula to trust instead, and the realized models stay tiny.
+        Basis products follow the Mackey route of ``_mackey_product``: the
+        K1-orbits on one realized triple, about |X2| * (|H1| + 1) steps
+        instead of the |X1| * |X2| * |G| of building the product.  The
+        test suite keeps the product route, classify(realize(t1) x
+        realize(t2)), as its oracle.
         """
         self._check_group(other)
         out: dict[TripleClass, int] = {}
@@ -261,12 +270,48 @@ def _basis_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict
     key = tuple(sorted((t1, t2)))
     cached = group._basis_product_cache.get(key)
     if cached is None:
-        from .gperm import classify, realize  # deferred: gperm imports this module
-
-        p = realize(group, t1).product(realize(group, t2))
-        cached = classify(p).coeffs
+        cached = _mackey_product(group, *key)
         group._basis_product_cache[key] = cached
     return cached
+
+
+def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict:
+    """[X1 x X2] for the realizations X1, X2 of t1, t2, without building it.
+
+    K1 = {(j*m1, a1^j h) : h in H1} is the stabilizer of the base point x0
+    of X1, so the orbits of X1 x X2 are those of the points (x0, y), one per
+    K1-orbit of y in X2, with stabilizer K1 n Stab(y) (Mackey): H is the part
+    of H1 fixing y, m = j*m1 for the least j >= 1 with y in the H1-orbit of
+    z = (a1 sigma^m1)^j (y), and a = h a1^j for an h in H1 with h z = y.
+    """
+    from .gperm import realize  # deferred: gperm imports this module
+
+    h1, m1, a1 = triple_rep(group, t1)
+    x2 = realize(group, t2)
+    *_, sigma_m1 = sigma_powers(x2.sigma, m1)
+    act_a1 = x2.act[a1]
+    step = tuple(act_a1[y] for y in sigma_m1)  # the action of (m1, a1)
+    h1_rows = [x2.act[h] for h in h1]
+    out: dict[TripleClass, int] = {}
+    points = 0
+    for orbit in permutation_orbits(h1_rows + [step], range(x2.n)):
+        y = orbit[0]
+        stab = []
+        back = {}  # z in the H1-orbit of y -> an h in H1 with h y = z
+        for h, row in zip(h1, h1_rows):
+            z = row[y]
+            if z == y:
+                stab.append(h)
+            back.setdefault(z, h)
+        z, a1_j, j = step[y], a1, 1
+        while z not in back:
+            z, a1_j, j = step[z], group.mul(a1_j, a1), j + 1
+        t = canonical_triple(group, stab, j * m1, group.mul(group.inv(back[z]), a1_j))
+        out[t] = out.get(t, 0) + 1
+        points += triple_index(group, t)
+    if points != triple_index(group, t1) * x2.n:
+        raise AssertionError("the Mackey product lost points; this is a bug")
+    return out
 
 
 def zg_add(a: ZGRingElement, b: ZGRingElement) -> ZGRingElement:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import eqzeta as eq
-from eqzeta.gperm import GPermutation, realize
+from eqzeta.gperm import GPermutation, classify, realize
 from eqzeta.zg import TripleClass, canonical_triple
 
 # child interpreters started by the CLI tests import eqzeta from src as well
@@ -44,6 +44,22 @@ def canonical_triples(group, max_m):
         {(h, alpha) for h, alphas in enumerate(group.pair_table) for alpha in alphas.values()}
     )
     return [TripleClass(h, m, a) for (h, a) in pairs for m in range(1, max_m + 1)]
+
+
+def capped_perm_group(n_points, gens, cap=24):
+    """Group of the longest prefix of gens whose closure has order <= cap."""
+    for k in range(len(gens), 0, -1):
+        try:
+            return eq.from_permutations(n_points, gens[:k], order_bound=cap)
+        except eq.GroupError:
+            continue
+    raise AssertionError("a single permutation of at most 5 points has order <= 6")
+
+
+def basis_product_oracle(group, t1, t2):
+    """Oracle for ``zg._basis_product``: realize both triples, build X1 x X2
+    with the diagonal action and classify it."""
+    return classify(realize(group, t1).product(realize(group, t2))).coeffs
 
 
 def empty_gperm(group):

@@ -334,6 +334,24 @@ def test_declared_size_is_checked_before_anything_of_that_size_is_built(
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "cyclic", "n": _HUGE},
+        {"type": "dihedral", "n": _HUGE},
+        {"type": "symmetric", "n": 13},
+    ],
+    ids=["cyclic", "dihedral", "symmetric"],
+)
+def test_group_order_is_checked_before_the_group_is_built(capsys, tmp_path, spec):
+    path = tmp_path / "huge_group.json"
+    path.write_text(json.dumps({"kind": "group", **spec}))
+    code, out, err = run(capsys, "subgroups", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "exceeds the bound 5040" in err
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "group",\n  "type": }\n')

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import eqzeta as eq
 from eqzeta.errors import GroupError
 
+from conftest import capped_perm_group
+
 
 def brute_force_subgroups(group):
     """Oracle: every subset closed under multiplication that contains the
@@ -95,6 +97,66 @@ def test_order_bound_enforced():
         eq.symmetric(8)  # 40320 > 5040
     with pytest.raises(GroupError):
         eq.cyclic(17, order_bound=16)
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (lambda: eq.cyclic(10**12), "1000000000000"),
+        (lambda: eq.dihedral(10**12), "2000000000000"),
+        (lambda: eq.symmetric(13), "6227020800"),
+        (lambda: eq.symmetric(10**12), "1000000000000!"),
+    ],
+    ids=["cyclic", "dihedral", "symmetric", "symmetric_huge"],
+)
+def test_builders_check_the_order_bound_before_building(build, order):
+    with pytest.raises(GroupError, match=f"^group order {order} exceeds the bound 5040$"):
+        build()
+
+
+def oracle_associativity_witness(table):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc)."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def _build_error(table, generators=None):
+    try:
+        eq.FiniteGroup(table, generators=generators)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+        )
+    ),
+    st.data(),
+)
+def test_light_associativity_test_matches_the_full_check(case, data):
+    group = capped_perm_group(*case)
+    table = [[group.mul(a, b) for b in range(group.order)] for a in range(group.order)]
+    others = [g for g in range(group.order) if g != group.identity]
+    if others:  # change one entry off the identity row and column
+        a, b = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+        table[a][b] = data.draw(st.integers(0, group.order - 1))
+    witness = oracle_associativity_witness(table)
+    error = _build_error(table)
+    if error is None or "associative" in error:
+        # every non-identity element is a generator: the full check's witness
+        expected = None if witness is None else (
+            "multiplication table is not associative at ({},{},{})".format(*witness)
+        )
+        assert error == expected
+    if _build_error(table, list(group.generators)) is None:
+        assert witness is None
 
 
 def test_subgroup_class_counts(suite_groups):
@@ -291,16 +353,6 @@ def oracle_marks(group, reps):
     return tuple(matrix)
 
 
-def _capped_perm_group(n_points, gens, cap=24):
-    """Group of the longest prefix of gens whose closure has order <= cap."""
-    for k in range(len(gens), 0, -1):
-        try:
-            return eq.from_permutations(n_points, gens[:k], order_bound=cap)
-        except GroupError:
-            continue
-    raise AssertionError("a single permutation of at most 5 points has order <= 6")
-
-
 def _assert_lattice_matches_oracles(group):
     assert group.all_subgroups == oracle_all_subgroups(group)
     reps, sizes = oracle_classes(group)
@@ -320,7 +372,7 @@ def _assert_lattice_matches_oracles(group):
     )
 )
 def test_lattice_matches_oracles(case):
-    _assert_lattice_matches_oracles(_capped_perm_group(*case))
+    _assert_lattice_matches_oracles(capped_perm_group(*case))
 
 
 def test_lattice_matches_oracles_on_s4xc2():
@@ -446,7 +498,7 @@ def _assert_conjugators_are_stored_correctly(group):
     st.data(),
 )
 def test_pairs_and_normalizers_match_oracles(case, data):
-    group = _capped_perm_group(*case)
+    group = capped_perm_group(*case)
     element = st.integers(0, group.order - 1)
     extra = data.draw(st.lists(st.lists(element, max_size=6), max_size=6))
     # subgroups with one element listed twice

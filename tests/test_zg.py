@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.errors import EqzetaError, GroupError
@@ -9,12 +11,15 @@ from eqzeta.gperm import realize
 from eqzeta.zg import (
     ClassicalZeta,
     ZGRingElement,
+    _basis_product,
+    _mackey_product,
     canonical_triple,
+    triple_index,
     zg_contains,
     zg_contains_bruteforce,
 )
 
-from conftest import canonical_triples
+from conftest import basis_product_oracle, canonical_triples, capped_perm_group
 
 
 def top_triple(group):
@@ -96,6 +101,55 @@ def test_trivial_group_cycle_products():
         return ZGRingElement.basis(triv, canonical_triple(triv, (0,), m, 0))
     assert cyc(2) * cyc(3) == cyc(6)
     assert cyc(2) * cyc(2) == 2 * cyc(2)
+
+
+def _assert_mackey_matches_oracle(group, t1, t2):
+    expected = basis_product_oracle(group, t1, t2)
+    assert _mackey_product(group, t1, t2) == expected, (group.name, t1, t2)
+    assert _mackey_product(group, t2, t1) == expected, (group.name, t2, t1)
+    assert _basis_product(group, t1, t2) == expected
+    points = sum(c * triple_index(group, t) for t, c in expected.items())
+    assert points == triple_index(group, t1) * triple_index(group, t2)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [eq.cyclic(2), eq.cyclic(3), eq.cyclic(4), eq.symmetric(3), eq.dihedral(4)],
+    ids=["C2", "C3", "C4", "S3", "D4"],
+)
+def test_mackey_product_matches_oracle_exhaustively(group):
+    triples = canonical_triples(group, 3)
+    for t1, t2 in itertools.combinations_with_replacement(triples, 2):
+        _assert_mackey_matches_oracle(group, t1, t2)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [eq.symmetric(4), eq.product(eq.cyclic(2), eq.symmetric(3))],
+    ids=["S4", "C2xS3"],
+)
+def test_mackey_product_matches_oracle_on_a_sample(group):
+    rng = random.Random(11)
+    triples = canonical_triples(group, 3)
+    for _ in range(150):
+        _assert_mackey_matches_oracle(group, *rng.sample(triples, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+        )
+    ),
+    st.data(),
+)
+def test_mackey_product_matches_oracle_on_random_groups(case, data):
+    group = capped_perm_group(*case, cap=12)
+    triples = canonical_triples(group, 4)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))  # uniform picks
+    for _ in range(5):
+        _assert_mackey_matches_oracle(group, rng.choice(triples), rng.choice(triples))
 
 
 def test_ring_axioms_on_random_elements(suite_groups):
