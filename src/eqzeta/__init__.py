@@ -7,29 +7,15 @@ Sebastiani-Thom combinator, the exceptional-divisor evaluator, and the
 specialization to classical zeta functions prod (1-t^m)^{s_m}.
 """
 
-from .burnside import (
-    BurnsideElement,
-    GSet,
-    burnside_add,
-    burnside_mul,
-    class_of_gset,
-    mark_vector,
-)
+from .burnside import BurnsideElement, GSet, class_of_gset
 from .complexes import (
     GCellularMap,
     GComplex,
     brute_zeta,
-    chi_G_cellwise,
-    chi_G_strata,
     pair_lefschetz_table,
 )
 from .cli import run_command
-from .documents import (
-    InputDocument,
-    parse_document,
-    parse_document_file,
-    render_element,
-)
+from .documents import InputDocument, parse_document, parse_document_file
 from .errors import (
     ActionError,
     DocumentError,
@@ -58,12 +44,9 @@ from .groups import (
     build_group,
     cyclic,
     dihedral,
-    enumerate_subgroup_classes,
     from_permutations,
-    normalizer,
     product,
     symmetric,
-    table_of_marks,
     trivial,
 )
 from .zeta import (
@@ -81,15 +64,10 @@ from .zg import (
     TripleClass,
     ZGRingElement,
     canonical_triple,
-    degree,
-    forget_to_classical,
     triple_index,
     triple_z_period,
-    zg_add,
     zg_contains,
     zg_contains_bruteforce,
-    zg_mul,
-    zg_neg,
 )
 
 __version__ = "0.1.0"

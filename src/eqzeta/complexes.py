@@ -92,6 +92,14 @@ class GComplex:
         return cls(group, cells, boundary, action)
 
     def _validate(self) -> None:
+        """Boundary shape, then the action dimension by dimension as a
+        ``GSet``, then boundary respect and regularity.
+
+        Boundary respect is checked for the generators only: it is closed
+        under products, and the ``GSet`` checks make every row a product of
+        generator rows.  Regularity is not closed under products, so it is
+        checked for every element.
+        """
         dims = len(self.cells)
         for d in range(dims):
             if len(self.boundary[d]) != self.cells[d]:
@@ -111,7 +119,7 @@ class GComplex:
             raise ActionError("action table needs one row per group element")
         for d in range(dims):
             GSet(self.group, self.cells[d], [row[d] for row in self.action])
-        for g in range(self.group.order):
+        for g in self.group.generators:
             for d in range(1, dims):
                 perm_d = self.action[g][d]
                 perm_f = self.action[g][d - 1]
@@ -287,11 +295,3 @@ def pair_lefschetz_table(k: GComplex, f: GCellularMap, m_max: int = 0) -> Lefsch
     if out is None:
         raise EqzetaError("complex has no cells")
     return out
-
-
-def chi_G_cellwise(k: GComplex) -> BurnsideElement:
-    return k.chi_cellwise()
-
-
-def chi_G_strata(k: GComplex) -> BurnsideElement:
-    return k.chi_strata()

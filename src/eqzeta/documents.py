@@ -313,11 +313,6 @@ def _parse_complex(obj: dict, group: FiniteGroup) -> tuple[GComplex, GCellularMa
 # -- rendering ---------------------------------------------------------------
 
 
-def render_element(x: BurnsideElement | ZGRingElement | ClassicalZeta) -> str:
-    """Canonical text form of a computed element."""
-    return x.render()
-
-
 def structured_zg(doc_group: Any, z: ZGRingElement, classical: bool = True) -> dict:
     group = z.group
     terms = []

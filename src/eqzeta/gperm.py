@@ -22,7 +22,7 @@ from typing import Sequence
 from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
-from .zg import TripleClass, ZGRingElement, canonical_triple, triple_rep
+from .zg import TripleClass, ZGRingElement, orbit_triple, triple_rep
 
 
 class GPermutation:
@@ -41,12 +41,11 @@ class GPermutation:
     ):
         self.group = group
         self.n = int(n)
-        self.act = tuple(tuple(int(x) for x in row) for row in act)
         self.sigma = tuple(int(x) for x in sigma)
         if len(self.sigma) != self.n:
             raise ActionError(f"sigma has {len(self.sigma)} entries, expected {self.n}")
+        self.act = GSet(group, self.n, act, validate=validate).act
         if validate:
-            GSet(group, self.n, self.act)  # bijections + homomorphism
             if sorted(self.sigma) != list(range(self.n)):
                 raise ActionError("sigma is not a bijection")
             self._check_commutation()
@@ -181,16 +180,7 @@ def classify(p: GPermutation) -> ZGRingElement:
 
 
 def _classify_orbit(p: GPermutation, x: int) -> TripleClass:
-    group = p.group
-    stab = tuple(g for g in range(group.order) if p.act[g][x] == x)
-    g_orbit = {p.act[g][x] for g in range(group.order)}
-    y = p.sigma[x]
-    m = 1
-    while y not in g_orbit:
-        y = p.sigma[y]
-        m += 1
-    a = next(g for g in range(group.order) if p.act[g][y] == x)
-    return canonical_triple(group, stab, m, a)
+    return orbit_triple(p.group, range(p.group.order), p.act, p.sigma, 1, p.group.identity, x)
 
 
 def realize(group: FiniteGroup, t: TripleClass) -> GPermutation:

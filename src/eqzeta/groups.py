@@ -225,9 +225,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -573,19 +570,3 @@ def _build_group(spec: Mapping, order_bound: int) -> FiniteGroup:
             order_bound=order_bound,
         )
     raise GroupError(f"unknown group type {kind!r}")
-
-
-# spec-facing aliases
-
-
-def enumerate_subgroup_classes(group: FiniteGroup) -> SubgroupClassTable:
-    return group.subgroup_classes
-
-
-def normalizer(group: FiniteGroup, subgroup: Subgroup | Iterable[int]) -> Subgroup:
-    elems = subgroup.elements if isinstance(subgroup, Subgroup) else tuple(subgroup)
-    return Subgroup(group.normalizer(elems))
-
-
-def table_of_marks(group: FiniteGroup) -> TableOfMarks:
-    return group.table_of_marks

@@ -59,6 +59,18 @@ def _column(group: FiniteGroup, t: TripleClass):
     return cached
 
 
+def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int):
+    """The entries (h, m, a, v) of the basis column of t at levels up to m_max.
+
+    Only multiples of t.m are visited: a point of realize(t) is fixed by
+    b∘sigma^m only when t.m divides m.
+    """
+    d, by_m = _column(group, t)
+    for m in range(t.m, m_max + 1, t.m):
+        for h, a, v in by_m.get((m - 1) % d + 1, ()):
+            yield h, m, a, v
+
+
 def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
     """Solve the triangular Lefschetz system for the unique element.
 
@@ -93,15 +105,12 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
                 f"a={group.labels[t.alpha]}) leaves remainder {rem} of {t.m}"
             )
         coeffs[t] = k
-        d, by_m = _column(group, t)
-        for m in range(t.m, m_max + 1, t.m):
-            base_m = ((m - 1) % d) + 1
-            for h, a, v in by_m.get(base_m, ()):
-                key = (h, m, a)
-                if key not in residual:
-                    residual[key] = 0
-                    push(key)
-                residual[key] -= k * v
+        for h, m, a, v in _column_entries(group, t, m_max):
+            key = (h, m, a)
+            if key not in residual:
+                residual[key] = 0
+                push(key)
+            residual[key] -= k * v
     for key in sorted(residual):
         if residual[key]:
             h, m, a = key
@@ -117,11 +126,8 @@ def predicted_table(z: ZGRingElement, m_max: int) -> LefschetzTable:
     group = z.group
     entries: dict = {}
     for t, k in z.coeffs.items():
-        d, by_m = _column(group, t)
-        for m in range(1, m_max + 1):
-            base_m = ((m - 1) % d) + 1
-            for h, a, v in by_m.get(base_m, ()):
-                entries[(h, m, a)] = entries.get((h, m, a), 0) + k * v
+        for h, m, a, v in _column_entries(group, t, m_max):
+            entries[(h, m, a)] = entries.get((h, m, a), 0) + k * v
     return LefschetzTable(group, m_max, entries)
 
 

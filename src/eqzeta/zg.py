@@ -280,9 +280,8 @@ def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dic
 
     K1 = {(j*m1, a1^j h) : h in H1} is the stabilizer of the base point x0
     of X1, so the orbits of X1 x X2 are those of the points (x0, y), one per
-    K1-orbit of y in X2, with stabilizer K1 n Stab(y) (Mackey): H is the part
-    of H1 fixing y, m = j*m1 for the least j >= 1 with y in the H1-orbit of
-    z = (a1 sigma^m1)^j (y), and a = h a1^j for an h in H1 with h z = y.
+    K1-orbit of y in X2, with stabilizer K1 n Stab(y) (Mackey), which
+    ``orbit_triple`` names from the rows of H1 and of (m1, a1).
     """
     from .gperm import realize  # deferred: gperm imports this module
 
@@ -295,18 +294,7 @@ def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dic
     out: dict[TripleClass, int] = {}
     points = 0
     for orbit in permutation_orbits(h1_rows + [step], range(x2.n)):
-        y = orbit[0]
-        stab = []
-        back = {}  # z in the H1-orbit of y -> an h in H1 with h y = z
-        for h, row in zip(h1, h1_rows):
-            z = row[y]
-            if z == y:
-                stab.append(h)
-            back.setdefault(z, h)
-        z, a1_j, j = step[y], a1, 1
-        while z not in back:
-            z, a1_j, j = step[z], group.mul(a1_j, a1), j + 1
-        t = canonical_triple(group, stab, j * m1, group.mul(group.inv(back[z]), a1_j))
+        t = orbit_triple(group, h1, h1_rows, step, m1, a1, orbit[0])
         out[t] = out.get(t, 0) + 1
         points += triple_index(group, t)
     if points != triple_index(group, t1) * x2.n:
@@ -314,16 +302,35 @@ def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dic
     return out
 
 
-def zg_add(a: ZGRingElement, b: ZGRingElement) -> ZGRingElement:
-    return a + b
+def orbit_triple(
+    group: FiniteGroup,
+    h: Sequence[int],
+    h_rows: Sequence[Sequence[int]],
+    step: Sequence[int],
+    m: int,
+    a: int,
+    y: int,
+) -> TripleClass:
+    """Canonical triple of the stabilizer of y in K = <{0} x H, (m, a)>.
 
-
-def zg_neg(a: ZGRingElement) -> ZGRingElement:
-    return -a
-
-
-def zg_mul(a: ZGRingElement, b: ZGRingElement) -> ZGRingElement:
-    return a * b
+    K acts through ``h_rows`` (the action of the elements ``h`` of H) and
+    ``step`` (the action of (m, a)).  The stabilizer is (H n Stab(y), j*m,
+    h'^-1 a^j) for the least j >= 1 with z = step^j(y) in the H-orbit of y
+    and an h' in H with h' y = z.  The elements h a^j with h in H and
+    h z = y, which fix y at level j*m, form one coset of H n Stab(y), so
+    the triple does not depend on the choice of h'.
+    """
+    stab = []
+    back = {}  # z in the H-orbit of y -> an element of H taking y to z
+    for hh, row in zip(h, h_rows):
+        z = row[y]
+        if z == y:
+            stab.append(hh)
+        back.setdefault(z, hh)
+    z, a_j, j = step[y], a, 1
+    while z not in back:
+        z, a_j, j = step[z], group.mul(a_j, a), j + 1
+    return canonical_triple(group, stab, j * m, group.mul(group.inv(back[z]), a_j))
 
 
 @dataclass(frozen=True)
@@ -375,11 +382,3 @@ class ClassicalZeta:
 
     def __repr__(self) -> str:
         return f"ClassicalZeta({self.render()})"
-
-
-def forget_to_classical(z: ZGRingElement) -> ClassicalZeta:
-    return z.forget_to_classical()
-
-
-def degree(c: ClassicalZeta) -> int:
-    return c.degree()

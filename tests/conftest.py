@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.gperm import GPermutation, classify, realize
@@ -54,6 +55,16 @@ def capped_perm_group(n_points, gens, cap=24):
         except eq.GroupError:
             continue
     raise AssertionError("a single permutation of at most 5 points has order <= 6")
+
+
+def perm_group_cases(max_degree):
+    """Strategy for the arguments of ``capped_perm_group``: a degree up to
+    max_degree and one to three permutations of that degree."""
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+        )
+    )
 
 
 def basis_product_oracle(group, t1, t2):

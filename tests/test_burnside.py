@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.burnside import BurnsideElement, GSet, class_of_gset
 from eqzeta.errors import ActionError
+
+from conftest import capped_perm_group, perm_group_cases, random_gperm
 
 
 def regular_gset(group):
@@ -60,6 +64,57 @@ def test_invalid_action_rejected():
         GSet(c2, 2, [(0, 1), (0, 0)])  # not bijective
     with pytest.raises(ActionError):
         GSet(c2, 2, [(1, 0), (0, 1)])  # identity acts nontrivially
+
+
+def test_short_non_generator_row_is_an_action_error():
+    s3 = eq.symmetric(3)
+    act = [[s3.mul(g, x) for x in range(6)] for g in range(6)]
+    g = next(g for g in range(6) if g != s3.identity and g not in s3.generators)
+    act[g] = act[g][:5]
+    with pytest.raises(ActionError, match=f"^action of element {g} is not a bijection$"):
+        GSet(s3, 6, act)
+
+
+def oracle_action_error(group, n, act):
+    """The full check made before the Cayley-edge check, kept as its oracle:
+    every row a bijection, the identity trivial, and act[a*b] = act[a]∘act[b]
+    on all |G|^2 pairs, O(|G|^2 * n).  Returns the first error, or None."""
+    for g, row in enumerate(act):
+        if sorted(row) != list(range(n)):
+            return f"action of element {g} is not a bijection"
+    if list(act[group.identity]) != list(range(n)):
+        return "the identity element does not act trivially"
+    for a in range(group.order):
+        for b in range(group.order):
+            rab = act[group.mul(a, b)]
+            for x in range(n):
+                if rab[x] != act[a][act[b][x]]:
+                    return f"action is not a homomorphism at elements ({a},{b}), point {x}"
+    return None
+
+
+def _gset_error(group, n, act):
+    try:
+        GSet(group, n, act)
+    except ActionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_group_cases(4), st.randoms(use_true_random=False), st.data())
+def test_edge_check_matches_the_full_scan(case, rng, data):
+    group = capped_perm_group(*case)
+    p = random_gperm(group, rng, max_points=12)
+    act = [list(row) for row in p.act]
+    if p.n > 1 and data.draw(st.booleans()):  # swap two entries of one row
+        g = data.draw(st.integers(0, group.order - 1))
+        x, y = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2, unique=True))
+        act[g][x], act[g][y] = act[g][y], act[g][x]
+    error, expected = _gset_error(group, p.n, act), oracle_action_error(group, p.n, act)
+    assert (error is None) == (expected is None)
+    if expected is not None and "homomorphism" not in expected:  # the witness may differ
+        assert error == expected
 
 
 def test_identity_element_of_the_ring(suite_groups):

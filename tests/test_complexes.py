@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.complexes import (
@@ -144,3 +146,43 @@ def test_cell_bound_enforced():
         GComplex.from_generator_images(
             triv, [10_001], [[()] * 10_001], []
         )
+
+
+def oracle_boundary_respected(k):
+    """Boundary respect for every element, as checked before the check was
+    restricted to the generators; kept as its oracle."""
+    for g in range(k.group.order):
+        for d in range(1, len(k.cells)):
+            perm_d, perm_f = k.action[g][d], k.action[g][d - 1]
+            for c, faces in enumerate(k.boundary[d]):
+                if tuple(sorted(perm_f[f] for f in faces)) != k.boundary[d][perm_d[c]]:
+                    return False
+    return True
+
+
+_CORPUS = [k for _, k, _ in corpus.chi_corpus() if len(k.cells) > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(_CORPUS))), st.data())
+def test_boundary_check_on_generators_matches_all_elements(i, data):
+    k = _CORPUS[i]
+    boundary = [list(per_dim) for per_dim in k.boundary]
+    if data.draw(st.booleans()):  # replace one face of one cell
+        d = data.draw(st.integers(1, len(k.cells) - 1))
+        c = data.draw(st.integers(0, k.cells[d] - 1))
+        faces = list(boundary[d][c])
+        faces[data.draw(st.integers(0, len(faces) - 1))] = data.draw(
+            st.integers(0, k.cells[d - 1] - 1)
+        )
+        boundary[d][c] = faces
+    try:
+        GComplex(k.group, k.cells, boundary, k.action)
+        respected = True
+    except RegularityError:  # checked after boundary respect
+        respected = True
+    except ActionError as exc:
+        assert "boundary" in str(exc)
+        respected = False
+    perturbed = GComplex(k.group, k.cells, boundary, k.action, validate=False)
+    assert respected == oracle_boundary_respected(perturbed)

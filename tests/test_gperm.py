@@ -41,6 +41,22 @@ def test_commutation_failure_reports_witness():
         GPermutation(c2, 3, [[0, 1, 2], [1, 0, 2]], [1, 2, 0])
 
 
+def test_errors_come_in_order_sigma_length_action_sigma():
+    c2 = eq.cyclic(2)
+    bad_act = [[0, 1], [0, 0]]
+    with pytest.raises(ActionError, match="^sigma has 1 entries, expected 2$"):
+        GPermutation(c2, 2, bad_act, [0])
+    with pytest.raises(ActionError, match="^action of element 1 is not a bijection$"):
+        GPermutation(c2, 2, bad_act, [0, 0])
+    with pytest.raises(ActionError, match="^sigma is not a bijection$"):
+        GPermutation(c2, 2, [[0, 1], [1, 0]], [0, 0])
+
+
+def test_wrong_row_count_rejected_without_validation():
+    with pytest.raises(ActionError, match="rows"):
+        GPermutation(eq.cyclic(2), 2, [[0, 1]], [1, 0], validate=False)
+
+
 def test_classify_trivial_three_cycle():
     triv = eq.trivial()
     p = GPermutation(triv, 3, [[0, 1, 2]], [1, 2, 0])

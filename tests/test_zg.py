@@ -19,7 +19,7 @@ from eqzeta.zg import (
     zg_contains_bruteforce,
 )
 
-from conftest import basis_product_oracle, canonical_triples, capped_perm_group
+from conftest import basis_product_oracle, canonical_triples, capped_perm_group, perm_group_cases
 
 
 def top_triple(group):
@@ -85,6 +85,15 @@ def test_containment_criterion_against_bruteforce(suite_groups):
             assert zg_contains(group, t1, t2) == zg_contains_bruteforce(
                 group, t1, t2
             ), (name, t1, t2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(perm_group_cases(4))
+def test_containment_criterion_against_bruteforce_on_random_groups(case):
+    group = capped_perm_group(*case)
+    triples = canonical_triples(group, 3)
+    for t1, t2 in itertools.product(triples, repeat=2):
+        assert zg_contains(group, t1, t2) == zg_contains_bruteforce(group, t1, t2), (t1, t2)
 
 
 def test_multiplication_by_one_point_set_is_identity(suite_groups):
