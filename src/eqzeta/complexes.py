@@ -92,8 +92,9 @@ class GComplex:
         return cls(group, cells, boundary, action)
 
     def _validate(self) -> None:
-        """Boundary shape, then the action dimension by dimension as a
-        ``GSet``, then boundary respect and regularity.
+        """Boundary shape, the dimension count of each element's action,
+        then the action dimension by dimension as a ``GSet``, then boundary
+        respect and regularity.
 
         Boundary respect is checked for the generators only: it is closed
         under products, and the ``GSet`` checks make every row a product of
@@ -117,6 +118,12 @@ class GComplex:
                         )
         if len(self.action) != self.group.order:
             raise ActionError("action table needs one row per group element")
+        for g, per_elem in enumerate(self.action):
+            if len(per_elem) != dims:
+                raise ActionError(
+                    f"element {self.group.labels[g]} gives images for {len(per_elem)} "
+                    f"dimensions, expected {dims}"
+                )
         for d in range(dims):
             GSet(self.group, self.cells[d], [row[d] for row in self.action])
         for g in self.group.generators:

@@ -11,6 +11,13 @@ builds the coset model of a triple:
 
 With this convention the base point x = (0, H) satisfies a * sigma^m(x) = x,
 so the triple extracted by ``classify`` matches the one realized.
+
+Lefschetz data depend only on the class of a G-permutation, so
+``lefschetz_table`` predicts them from ``classify``: each basis column is
+read from the fixed cosets of G/H and their normalizer orbits (marks after
+Pfeiffer, Experimental Math. 6, 1997; coset model after tom Dieck, LNM 766,
+1979), without building the coset model.  The point-by-point tabulation
+lives on in the test suite as the oracle for this route.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Sequence
 from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
-from .zg import TripleClass, ZGRingElement, orbit_triple, triple_rep
+from .zg import TripleClass, ZGRingElement, orbit_triple, triple_rep, triple_z_period
 
 
 class GPermutation:
@@ -183,17 +190,27 @@ def _classify_orbit(p: GPermutation, x: int) -> TripleClass:
     return orbit_triple(p.group, range(p.group.order), p.act, p.sigma, 1, p.group.identity, x)
 
 
+def left_cosets(group: FiniteGroup, h_elems: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(elem2coset, reps) for the left cosets xH of a subgroup H.
+
+    ``reps`` lists the least element of each coset in increasing order, and
+    ``elem2coset[x]`` is the position in ``reps`` of the coset of x.
+    """
+    elem2coset = [-1] * group.order
+    reps: list[int] = []
+    for x in range(group.order):
+        if elem2coset[x] < 0:
+            cid = len(reps)
+            reps.append(x)
+            for hh in h_elems:
+                elem2coset[group.mul(x, hh)] = cid
+    return elem2coset, reps
+
+
 def realize(group: FiniteGroup, t: TripleClass) -> GPermutation:
     """Coset model of a canonical triple; classify(realize(t)) == [t]."""
     h, m, a = triple_rep(group, t)
-    elem2coset = [-1] * group.order
-    coset_reps: list[int] = []
-    for x in range(group.order):
-        if elem2coset[x] < 0:
-            cid = len(coset_reps)
-            coset_reps.append(x)
-            for hh in h:
-                elem2coset[group.mul(x, hh)] = cid
+    elem2coset, coset_reps = left_cosets(group, h)
     n_cosets = len(coset_reps)
     n = m * n_cosets
     act = []
@@ -270,6 +287,9 @@ class LefschetzTable:
     makes the system triangular; on abelian groups the entries agree with
     the coefficients of the honest fixed-point G-sets.
 
+    ``lefschetz_table`` and ``predicted_table`` fill the table from basis
+    columns read from the fixed cosets of G/H (see ``_column``).
+
     Only nonzero entries are stored: the constructor drops zero values, so
     equal tables have equal ``entries`` and ``get`` reads a missing key as 0.
     Keys use coset representatives (least element index in each coset);
@@ -311,13 +331,15 @@ def coset_representatives(group: FiniteGroup, h_elems: Sequence[int]) -> list[in
 
 
 def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
-    """Tabulate the Lefschetz data of all pairs (a, sigma^m).
+    """The Lefschetz data of all pairs (a, sigma^m), m = 1..m_max.
 
-    With ``m_max=0`` the table covers one full period of sigma (the lcm of
-    its cycle lengths), which always determines the class of p.  An explicit
+    The data depend only on the class of p, so the table is
+    ``predicted_table(classify(p), m_max)``: basis columns read from fixed
+    cosets, with no pass over the points of p or the powers of sigma.  With
+    ``m_max=0`` the table covers one full period of sigma (the lcm of its
+    cycle lengths), which always determines the class of p.  An explicit
     m_max must not truncate below that period.
     """
-    group = p.group
     period = p.z_period()
     if m_max == 0:
         m_max = period
@@ -325,24 +347,74 @@ def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
         raise EqzetaError(
             f"m_max={m_max} is below the sigma period {period}; the table would lose data"
         )
-    per_class = []
-    for h_class, rep in enumerate(group.subgroup_classes.classes):
-        h = rep.elements
-        fixed_locus = [x for x in range(p.n) if all(p.act[g][x] == x for g in h)]
-        units = permutation_orbits([p.act[g] for g in group.normalizer(h)], fixed_locus)
-        if sum(map(len, units)) != len(fixed_locus):
-            raise AssertionError("normalizer action leaves the fixed locus; this is a bug")
-        per_class.append((h_class, units, group.pair_table[h_class]))
-    entries: dict = {}
-    for m, sig_m in enumerate(sigma_powers(p.sigma, m_max), start=1):
-        for h_class, units, reps in per_class:
-            for a in reps:
-                row = p.act[a]
-                count = 0
-                for unit in units:
-                    if any(row[sig_m[x]] == x for x in unit):
-                        count += 1
-                if count:
-                    entries[(h_class, m, a)] = count
-    return LefschetzTable(group, m_max, entries)
+    return predicted_table(classify(p), m_max)
 
+
+def _column(group: FiniteGroup, t: TripleClass):
+    """(period, entries grouped by m) of the basis column of t = (H, m, a).
+
+    A point (k, cH) of realize(t) is fixed by K when K cH = cH, that is when
+    c^-1 K c lies in H, and N(K) moves only its coset.  sigma^j moves its
+    level unless m | j, and for j = q*m the element r fixes
+    sigma^j(k, cH) = (k, c a^-q H) exactly when c^-1 r c a^-q lies in H.  So
+    the entry at (K, q*m, r) is m times the number of N(K)-orbits of K-fixed
+    cosets holding such a cH, read from G/H for q = 1 .. d/m with
+    d = ``triple_z_period``; no model is built.
+    """
+    cached = group._column_cache.get(t)
+    if cached is None:
+        h, m, a = triple_rep(group, t)
+        d = triple_z_period(group, t)
+        elem2coset, reps = left_cosets(group, h)
+        # c^-1 r c a^-q lies in H when c^-1 r c lies in the coset a^q H
+        targets = [elem2coset[group.power(a, q)] for q in range(1, d // m + 1)]
+        by_m: dict[int, list] = {}
+        for k, rep in enumerate(group.subgroup_classes.classes):
+            if len(h) % rep.order:
+                continue  # no conjugate of K lies in H
+            fixed = [
+                c for i, c in enumerate(reps)
+                if all(elem2coset[group.mul(x, c)] == i for x in rep.elements)
+            ]
+            norm = group.normalizer(rep.elements)
+            orbits, seen = [], set()  # each orbit as the c^-1 of its cosets cH
+            for c in fixed:
+                if elem2coset[c] not in seen:
+                    orbit = {elem2coset[group.mul(n, c)] for n in norm}
+                    seen |= orbit
+                    orbits.append([group.inv(reps[i]) for i in orbit])
+            for r in group.pair_table[k]:
+                # per orbit: the cosets of H met by c^-1 r c
+                met = [{elem2coset[group.conj(ic, r)] for ic in orbit} for orbit in orbits]
+                for q, target in enumerate(targets, start=1):
+                    count = sum(target in cosets for cosets in met)
+                    if count:
+                        by_m.setdefault(q * m, []).append((k, r, m * count))
+        anchor = sum(v for k, r, v in by_m.get(m, ()) if (k, r) == (t.h_class, t.alpha))
+        if anchor != m:
+            raise AssertionError("basis column diagonal is off; this is a bug")
+        cached = (d, by_m)
+        group._column_cache[t] = cached
+    return cached
+
+
+def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int):
+    """The entries (h, m, a, v) of the basis column of t at levels up to m_max.
+
+    Only multiples of t.m are visited: a point of realize(t) is fixed by
+    b∘sigma^m only when t.m divides m.
+    """
+    d, by_m = _column(group, t)
+    for m in range(t.m, m_max + 1, t.m):
+        for h, a, v in by_m.get((m - 1) % d + 1, ()):
+            yield h, m, a, v
+
+
+def predicted_table(z: ZGRingElement, m_max: int) -> LefschetzTable:
+    """The Lefschetz table a virtual element would produce."""
+    group = z.group
+    entries: dict = {}
+    for t, k in z.coeffs.items():
+        for h, m, a, v in _column_entries(group, t, m_max):
+            entries[(h, m, a)] = entries.get((h, m, a), 0) + k * v
+    return LefschetzTable(group, m_max, entries)

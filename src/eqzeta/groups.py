@@ -186,7 +186,7 @@ class FiniteGroup:
         self.labels = tuple(str(x) for x in labels)
 
         # memo dicts, each written by one function: zg._basis_product (Mackey
-        # products keyed by the sorted triple pair), zeta._column (by triple)
+        # products keyed by the sorted triple pair), gperm._column (by triple)
         self._basis_product_cache: dict[tuple, dict] = {}
         self._column_cache: dict = {}
 

@@ -5,13 +5,15 @@
 triangular: the table column of one transitive class is supported on that
 class's own anchor entry (value m) plus entries whose named subgroup is
 conjugate into a strictly larger one, so walking candidate triples by
-increasing index m*[G:H] and subtracting realized columns solves it with
-exact integer arithmetic.  The walk visits only nonzero residual entries: a
-heap ordered by (index, triple) holds the entries at canonical pairs, and
-each column subtraction pushes the entries it touches, so the work follows
-the nonzeros of the table rather than m_max.  Any leftover residue or failed
-division means the table is not the data of any element, and is reported
-with the offending entry.
+increasing index m*[G:H] and subtracting basis columns solves it with
+exact integer arithmetic.  Each column is read from the fixed cosets of G/H
+(``gperm.predicted_table``, re-exported here); no coset model is built.
+The walk visits only nonzero residual entries: a heap ordered by (index,
+triple) holds the entries at canonical pairs, and each column subtraction
+pushes the entries it touches, so the work follows the nonzeros of the
+table rather than m_max.  Any leftover residue or failed division means the
+table is not the data of any element, and is reported with the offending
+entry.
 
 ``classical_from_lefschetz`` is the non-equivariant special case: divisor
 recursion L(phi^m) = sum_{i|m} r_i with r_m = m * s_m.
@@ -25,50 +27,9 @@ from typing import Iterable, Sequence
 
 from .burnside import sigma_powers
 from .errors import EqzetaError, StratumError, TableError
-from .gperm import (
-    GPermutation,
-    LefschetzTable,
-    lefschetz_table,
-    realize,
-)
+from .gperm import GPermutation, LefschetzTable, _column_entries, predicted_table
 from .groups import FiniteGroup, Subgroup
-from .zg import (
-    ClassicalZeta,
-    TripleClass,
-    ZGRingElement,
-    canonical_triple,
-    triple_index,
-    triple_z_period,
-)
-
-
-def _column(group: FiniteGroup, t: TripleClass):
-    """(period, base entries grouped by m) of the realized basis column."""
-    cached = group._column_cache.get(t)
-    if cached is None:
-        d = triple_z_period(group, t)
-        base = lefschetz_table(realize(group, t), d)
-        anchor = base.get(t.h_class, t.m, t.alpha)
-        if anchor != t.m:
-            raise AssertionError("basis column diagonal is off; this is a bug")
-        by_m: dict[int, list] = {}
-        for (h, m, a), v in base.entries.items():
-            by_m.setdefault(m, []).append((h, a, v))
-        cached = (d, by_m)
-        group._column_cache[t] = cached
-    return cached
-
-
-def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int):
-    """The entries (h, m, a, v) of the basis column of t at levels up to m_max.
-
-    Only multiples of t.m are visited: a point of realize(t) is fixed by
-    b∘sigma^m only when t.m divides m.
-    """
-    d, by_m = _column(group, t)
-    for m in range(t.m, m_max + 1, t.m):
-        for h, a, v in by_m.get((m - 1) % d + 1, ()):
-            yield h, m, a, v
+from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_triple, triple_index
 
 
 def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
@@ -119,16 +80,6 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
                 f"(H class {h}, m={m}, a={group.labels[a]})"
             )
     return ZGRingElement(group, coeffs)
-
-
-def predicted_table(z: ZGRingElement, m_max: int) -> LefschetzTable:
-    """The Lefschetz table a virtual element would produce."""
-    group = z.group
-    entries: dict = {}
-    for t, k in z.coeffs.items():
-        for h, m, a, v in _column_entries(group, t, m_max):
-            entries[(h, m, a)] = entries.get((h, m, a), 0) + k * v
-    return LefschetzTable(group, m_max, entries)
 
 
 def classical_lefschetz_numbers(p: GPermutation, m_max: int = 0) -> list[int]:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 import eqzeta as eq
-from eqzeta.gperm import GPermutation, classify, realize
+from eqzeta.burnside import permutation_orbits, sigma_powers
+from eqzeta.gperm import GPermutation, LefschetzTable, classify, realize
 from eqzeta.zg import TripleClass, canonical_triple
 
 # child interpreters started by the CLI tests import eqzeta from src as well
@@ -71,6 +72,40 @@ def basis_product_oracle(group, t1, t2):
     """Oracle for ``zg._basis_product``: realize both triples, build X1 x X2
     with the diagonal action and classify it."""
     return classify(realize(group, t1).product(realize(group, t2))).coeffs
+
+
+def lefschetz_table_direct(p, m_max=0):
+    """Oracle for ``gperm.lefschetz_table``: tabulate every level point by
+    point, counting the N(H)-orbits of the H-fixed locus that hold a point
+    fixed by a∘sigma^m."""
+    group = p.group
+    period = p.z_period()
+    if m_max == 0:
+        m_max = period
+    elif m_max < period:
+        raise eq.EqzetaError(
+            f"m_max={m_max} is below the sigma period {period}; the table would lose data"
+        )
+    per_class = []
+    for h_class, rep in enumerate(group.subgroup_classes.classes):
+        h = rep.elements
+        fixed_locus = [x for x in range(p.n) if all(p.act[g][x] == x for g in h)]
+        units = permutation_orbits([p.act[g] for g in group.normalizer(h)], fixed_locus)
+        if sum(map(len, units)) != len(fixed_locus):
+            raise AssertionError("normalizer action leaves the fixed locus; this is a bug")
+        per_class.append((h_class, units, group.pair_table[h_class]))
+    entries = {}
+    for m, sig_m in enumerate(sigma_powers(p.sigma, m_max), start=1):
+        for h_class, units, reps in per_class:
+            for a in reps:
+                row = p.act[a]
+                count = 0
+                for unit in units:
+                    if any(row[sig_m[x]] == x for x in unit):
+                        count += 1
+                if count:
+                    entries[(h_class, m, a)] = count
+    return LefschetzTable(group, m_max, entries)
 
 
 def empty_gperm(group):

@@ -69,6 +69,12 @@ def test_action_must_respect_boundary():
         )
 
 
+def test_action_missing_a_dimension_rejected():
+    # the non-identity element gives images in dimension 0 only
+    with pytest.raises(ActionError, match="gives images for 1 dimensions, expected 2"):
+        GComplex(eq.cyclic(2), [2, 1], [[(), ()], [(0, 1)]], [[[0, 1], [0]], [[1, 0]]])
+
+
 def test_cellular_map_must_commute_with_action():
     k = corpus.square_with_diagonal_reflection()
     with pytest.raises(ActionError, match="commute"):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqzeta as eq
 from eqzeta.errors import ActionError
@@ -13,10 +15,17 @@ from eqzeta.gperm import (
     realize_element,
     zg_orbits,
 )
-from eqzeta.zeta import predicted_table
-from eqzeta.zg import ZGRingElement, canonical_triple
+from eqzeta.zeta import predicted_table, zeta_from_lefschetz
+from eqzeta.zg import ZGRingElement, canonical_triple, triple_z_period
 
-from conftest import canonical_triples, empty_gperm, random_gperm
+from conftest import (
+    canonical_triples,
+    capped_perm_group,
+    empty_gperm,
+    lefschetz_table_direct,
+    perm_group_cases,
+    random_gperm,
+)
 
 
 def swap_model():
@@ -216,6 +225,39 @@ def test_table_equals_prediction_from_classification(suite_groups):
             p = random_gperm(group, rng, max_points=16)
             table = lefschetz_table(p)
             assert table == predicted_table(classify(p), table.m_max)
+
+
+def test_fixed_coset_columns_match_direct_tabulation():
+    """Each basis column, read from the fixed cosets of G/H, equals the
+    point-by-point table of the realized triple over one sigma period."""
+    groups = [
+        eq.cyclic(2), eq.cyclic(3), eq.cyclic(4), eq.symmetric(3), eq.dihedral(4),
+        eq.symmetric(4), eq.product(eq.cyclic(2), eq.symmetric(3)),
+    ]
+    for group in groups:
+        for t in canonical_triples(group, 3):
+            d = triple_z_period(group, t)
+            column = predicted_table(ZGRingElement.basis(group, t), d)
+            assert column == lefschetz_table_direct(realize(group, t), d), (group, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_group_cases(4), st.randoms(use_true_random=False), st.sampled_from([0, 1, 2]))
+def test_table_matches_direct_tabulation_on_random_groups(case, rng, level):
+    group = capped_perm_group(*case)
+    p = random_gperm(group, rng, max_points=16)
+    period = p.z_period()
+    m_max = (0, period, 2 * period + 1)[level]
+    assert lefschetz_table(p, m_max) == lefschetz_table_direct(p, m_max)
+
+
+def test_solver_inverts_direct_tabulation(suite_groups):
+    """The solver against tables that do not come from ``classify``."""
+    rng = random.Random(89)
+    for _, group in suite_groups:
+        for _ in range(6):
+            p = random_gperm(group, rng, max_points=16)
+            assert zeta_from_lefschetz(lefschetz_table_direct(p)) == classify(p)
 
 
 def test_table_entries_are_conjugation_invariant(suite_groups):
