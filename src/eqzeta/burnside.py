@@ -144,64 +144,94 @@ def extend_action(
     return tuple(act[g] for g in range(group.order))
 
 
-class BurnsideElement:
-    """Integer combination of subgroup-class generators [G/H]."""
+class Combination:
+    """A finite integer combination of basis keys over one group.
+
+    The Burnside ring and the ring of finite (Z x G)-sets are both free
+    abelian groups on their transitive classes, so the additive structure is
+    shared here.  Subclasses supply the product, the term format and
+    ``mismatch_error``, the exception raised when the operands belong to
+    different groups.
+    """
 
     __slots__ = ("group", "coeffs")
+    mismatch_error: type[Exception]
 
-    def __init__(self, group: FiniteGroup, coeffs: Mapping[int, int]):
-        n_classes = len(group.subgroup_classes)
-        clean: dict[int, int] = {}
-        for cls, c in coeffs.items():
-            if not 0 <= cls < n_classes:
-                raise ActionError(f"invalid subgroup class id {cls}")
-            if c:
-                clean[cls] = int(c)
+    def __init__(self, group: FiniteGroup, coeffs: Mapping):
         self.group = group
-        self.coeffs = clean
+        self.coeffs = {key: int(c) for key, c in coeffs.items() if c}
 
     @classmethod
-    def zero(cls, group: FiniteGroup) -> "BurnsideElement":
+    def zero(cls, group: FiniteGroup):
         return cls(group, {})
 
     @classmethod
-    def basis(cls, group: FiniteGroup, class_id: int) -> "BurnsideElement":
-        return cls(group, {class_id: 1})
+    def basis(cls, group: FiniteGroup, key):
+        return cls(group, {key: 1})
 
-    def coefficient(self, class_id: int) -> int:
-        return self.coeffs.get(class_id, 0)
+    def coefficient(self, key) -> int:
+        return self.coeffs.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _check_group(self, other: "BurnsideElement") -> None:
+    def _check_group(self, other: "Combination") -> None:
         if self.group is not other.group:
-            raise ActionError("elements belong to different groups")
+            raise self.mismatch_error("elements belong to different groups")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BurnsideElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.group is other.group and self.coeffs == other.coeffs
 
     __hash__ = None  # mutable mapping inside
 
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+    def __add__(self, other):
         self._check_group(other)
         out = dict(self.coeffs)
-        for cls, c in other.coeffs.items():
-            out[cls] = out.get(cls, 0) + c
-        return BurnsideElement(self.group, out)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return type(self)(self.group, out)
 
-    def __neg__(self) -> "BurnsideElement":
-        return BurnsideElement(self.group, {cls: -c for cls, c in self.coeffs.items()})
+    def __neg__(self):
+        return type(self)(self.group, {key: -c for key, c in self.coeffs.items()})
 
-    def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __rmul__(self, k: int) -> "BurnsideElement":
+    def __rmul__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        return BurnsideElement(self.group, {cls: k * c for cls, c in self.coeffs.items()})
+        return type(self)(self.group, {key: k * c for key, c in self.coeffs.items()})
+
+    def _signed_sum(self, keys: Iterable, term) -> str:
+        """``keys`` joined with their signs; ``term(key, |c|)`` formats one."""
+        out = ""
+        for key in keys:
+            c = self.coeffs[key]
+            if out:
+                out += " + " if c > 0 else " - "
+            elif c < 0:
+                out = "-"
+            out += term(key, abs(c))
+        return out or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
+
+class BurnsideElement(Combination):
+    """Integer combination of subgroup-class generators [G/H]."""
+
+    __slots__ = ()
+    mismatch_error = ActionError
+
+    def __init__(self, group: FiniteGroup, coeffs: Mapping[int, int]):
+        n_classes = len(group.subgroup_classes)
+        for cls in coeffs:
+            if not 0 <= cls < n_classes:
+                raise ActionError(f"invalid subgroup class id {cls}")
+        super().__init__(group, coeffs)
 
     def mark_vector(self) -> tuple[int, ...]:
         """Fixed-point counts of each class representative; injective ring map."""
@@ -227,20 +257,10 @@ class BurnsideElement:
         return sum(c * (order // classes[cls].order) for cls, c in self.coeffs.items())
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        out = ""
-        for i, cls in enumerate(sorted(self.coeffs, reverse=True)):
-            c = self.coeffs[cls]
-            term = f"{abs(c)}*[G/{self.group.subgroup_label(cls)}]"
-            if i == 0:
-                out = term if c > 0 else "-" + term
-            else:
-                out += (" + " if c > 0 else " - ") + term
-        return out
-
-    def __repr__(self) -> str:
-        return f"BurnsideElement({self.render()})"
+        label = self.group.subgroup_label
+        return self._signed_sum(
+            sorted(self.coeffs, reverse=True), lambda cls, n: f"{n}*[G/{label(cls)}]"
+        )
 
 
 def _from_mark_vector(group: FiniteGroup, marks_vec: Sequence[int]) -> BurnsideElement:

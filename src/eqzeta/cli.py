@@ -15,6 +15,7 @@ from . import documents
 from .complexes import brute_zeta
 from .errors import DocumentError, EqzetaError
 from .gperm import classify, lefschetz_table
+from .groups import FiniteGroup
 from .zeta import acampo, sebastiani_thom, zeta_from_lefschetz
 from .zg import ZGRingElement
 
@@ -23,8 +24,8 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load(path: str, kind: str) -> documents.InputDocument:
-    doc = documents.parse_document_file(path)
+def _load(path: str, kind: str, group: FiniteGroup | None = None) -> documents.InputDocument:
+    doc = documents.parse_document_file(path, group=group)
     if doc.kind != kind:
         raise DocumentError(f"{path}: expected a {kind!r} document, got {doc.kind!r}")
     return doc
@@ -220,14 +221,14 @@ def _cmd_add(args) -> int:
 
 def _binary_operands(args) -> tuple[documents.InputDocument, ZGRingElement, ZGRingElement]:
     doc1 = _load(args.expr_file1, "expr")
-    doc2 = _load(args.expr_file2, "expr")
-    if not doc1.group.is_same_as(doc2.group):
+    # the second document is parsed on the first one's group when they agree
+    doc2 = _load(args.expr_file2, "expr", doc1.group)
+    if doc2.group is not doc1.group:
         raise DocumentError(
             f"{args.expr_file2}: group differs from {args.expr_file1}; "
             "binary operations need a common group"
         )
-    # rebuild the second element on the first document's group instance
-    return doc1, doc1.payload, ZGRingElement(doc1.group, doc2.payload.coeffs)
+    return doc1, doc1.payload, doc2.payload
 
 
 def _cmd_acampo(args) -> int:

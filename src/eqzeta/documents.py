@@ -34,28 +34,35 @@ class InputDocument:
     raw_group: Any
 
 
-def parse_document(text: str, base_dir: str | Path | None = None) -> InputDocument:
-    """Parse and validate a document, or raise DocumentError with a location."""
+def parse_document(
+    text: str, base_dir: str | Path | None = None, group: FiniteGroup | None = None
+) -> InputDocument:
+    """Parse and validate a document, or raise DocumentError with a location.
+
+    A document whose group ``is_same_as`` ``group`` is parsed on ``group``.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return parse_object(obj, base_dir=base_dir)
+    return parse_object(obj, base_dir=base_dir, group=group)
 
 
-def parse_document_file(path: str | Path) -> InputDocument:
+def parse_document_file(path: str | Path, group: FiniteGroup | None = None) -> InputDocument:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     try:
-        return parse_document(text, base_dir=path.parent)
+        return parse_document(text, base_dir=path.parent, group=group)
     except DocumentError as exc:
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def parse_object(obj: Any, base_dir: str | Path | None = None) -> InputDocument:
+def parse_object(
+    obj: Any, base_dir: str | Path | None = None, group: FiniteGroup | None = None
+) -> InputDocument:
     if not isinstance(obj, dict):
         raise DocumentError("document root must be an object")
     kind = obj.get("kind")
@@ -64,7 +71,9 @@ def parse_object(obj: Any, base_dir: str | Path | None = None) -> InputDocument:
     if kind == "group":
         return InputDocument(kind, _group_from(obj, "", base_dir), None, obj)
     raw_group = _need(obj, "group", "")
-    group = _group_from(raw_group, "group", base_dir)
+    built = _group_from(raw_group, "group", base_dir)
+    if group is None or not built.is_same_as(group):
+        group = built
     if kind == "gperm":
         payload = _parse_gperm(obj, group)
     elif kind == "strata":
@@ -99,17 +108,40 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+def _int_field(obj: dict, key: str, path: str) -> int:
+    value = _need(obj, key, path)
+    return value if type(value) is int else _as_int(value, _loc(path, key))
+
+
 def _as_int_list(value: Any, path: str) -> list[int]:
+    """The array; a location is formatted only for an item that fails."""
     if not isinstance(value, list):
         raise DocumentError(f"{path}: expected an array of integers")
-    return [_as_int(x, _loc(path, i)) for i, x in enumerate(value)]
+    for i, x in enumerate(value):
+        if type(x) is not int:
+            _as_int(x, _loc(path, i))
+    return list(value)
 
 
-def _element(group: FiniteGroup, value: Any, path: str) -> int:
-    g = _as_int(value, path)
+def _out_of_range(group: FiniteGroup, g: int, path: str) -> DocumentError:
+    return DocumentError(f"{path}: element index {g} out of range 0..{group.order - 1}")
+
+
+def _element_field(group: FiniteGroup, obj: dict, key: str, path: str) -> int:
+    g = _int_field(obj, key, path)
     if not 0 <= g < group.order:
-        raise DocumentError(f"{path}: element index {g} out of range 0..{group.order - 1}")
+        raise _out_of_range(group, g, _loc(path, key))
     return g
+
+
+def _elements(group: FiniteGroup, value: Any, path: str) -> tuple[int, ...]:
+    """An array of element indices; every item is type-checked before any
+    index is range-checked."""
+    elems = _as_int_list(value, path)
+    for j, g in enumerate(elems):
+        if not 0 <= g < group.order:
+            raise _out_of_range(group, g, _loc(path, j))
+    return tuple(elems)
 
 
 def _wrap(path: str, exc: EqzetaError) -> DocumentError:
@@ -141,7 +173,7 @@ def _group_from(value: Any, path: str, base_dir: str | Path | None) -> FiniteGro
 
 
 def _parse_gperm(obj: dict, group: FiniteGroup) -> GPermutation:
-    n = _as_int(_need(obj, "points", ""), "points")
+    n = _int_field(obj, "points", "")
     if n < 0:
         raise DocumentError("points: must be nonnegative")
     action = _need(obj, "action", "")
@@ -170,14 +202,11 @@ def _parse_strata(obj: dict, group: FiniteGroup) -> list[StratumRecord]:
         if not isinstance(item, dict):
             raise DocumentError(f"{path}: expected an object")
         record = StratumRecord(
-            chi=_as_int(_need(item, "chi", path), _loc(path, "chi")),
-            m=_as_int(_need(item, "m", path), _loc(path, "m")),
-            n=_as_int(_need(item, "n", path), _loc(path, "n")),
-            subgroup=tuple(
-                _element(group, x, _loc(_loc(path, "H"), j))
-                for j, x in enumerate(_as_int_list(_need(item, "H", path), _loc(path, "H")))
-            ),
-            alpha=_element(group, _need(item, "alpha", path), _loc(path, "alpha")),
+            chi=_int_field(item, "chi", path),
+            m=_int_field(item, "m", path),
+            n=_int_field(item, "n", path),
+            subgroup=_elements(group, _need(item, "H", path), _loc(path, "H")),
+            alpha=_element_field(group, item, "alpha", path),
         )
         try:
             record.validate(group)
@@ -188,7 +217,7 @@ def _parse_strata(obj: dict, group: FiniteGroup) -> list[StratumRecord]:
 
 
 def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
-    m_max = _as_int(_need(obj, "m_max", ""), "m_max")
+    m_max = _int_field(obj, "m_max", "")
     if m_max < 1:
         raise DocumentError("m_max: must be positive")
     raw = _need(obj, "entries", "")
@@ -203,20 +232,17 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
             raise DocumentError(f"{path}: expected an object")
         h_value = _need(item, "H", path)
         if isinstance(h_value, list):
-            elems = tuple(
-                _element(group, x, _loc(_loc(path, "H"), j))
-                for j, x in enumerate(h_value)
-            )
+            elems = _elements(group, h_value, _loc(path, "H"))
         else:
-            cls = _as_int(h_value, _loc(path, "H"))
+            cls = _int_field(item, "H", path)
             if not 0 <= cls < len(classes):
                 raise DocumentError(f"{_loc(path, 'H')}: class id {cls} out of range")
             elems = classes[cls].elements
-        g = _element(group, _need(item, "g", path), _loc(path, "g"))
-        m = _as_int(_need(item, "m", path), _loc(path, "m"))
+        g = _element_field(group, item, "g", path)
+        m = _int_field(item, "m", path)
         if not 1 <= m <= m_max:
             raise DocumentError(f"{_loc(path, 'm')}: must lie in 1..m_max={m_max}")
-        value = _as_int(_need(item, "value", path), _loc(path, "value"))
+        value = _int_field(item, "value", path)
         try:
             h_class, alpha = canonical_pair(group, elems, g)
         except EqzetaError as exc:
@@ -248,13 +274,10 @@ def _parse_expr(obj: dict, group: FiniteGroup) -> ZGRingElement:
         path = _loc("terms", i)
         if not isinstance(item, dict):
             raise DocumentError(f"{path}: expected an object")
-        coeff = _as_int(_need(item, "coeff", path), _loc(path, "coeff"))
-        elems = tuple(
-            _element(group, x, _loc(_loc(path, "H"), j))
-            for j, x in enumerate(_as_int_list(_need(item, "H", path), _loc(path, "H")))
-        )
-        m = _as_int(_need(item, "m", path), _loc(path, "m"))
-        alpha = _element(group, _need(item, "alpha", path), _loc(path, "alpha"))
+        coeff = _int_field(item, "coeff", path)
+        elems = _elements(group, _need(item, "H", path), _loc(path, "H"))
+        m = _int_field(item, "m", path)
+        alpha = _element_field(group, item, "alpha", path)
         try:
             t = canonical_triple(group, elems, m, alpha)
         except EqzetaError as exc:

@@ -3,14 +3,16 @@
 A G-permutation is the concrete model of a finite (Z x G)-set: the integer 1
 acts by sigma, the group acts through the action table, and the two commute.
 ``classify`` decomposes a G-permutation into canonical triples; ``realize``
-builds the coset model of a triple:
+builds the coset model of a triple from the rows of ``zg.coset_model_row``:
 
     points are pairs (k, bH) with k in Z/m and bH a coset of H in G; the
     group acts on the coset factor by left multiplication, sigma raises the
     level and twists the last step by right multiplication with a^-1.
 
 With this convention the base point x = (0, H) satisfies a * sigma^m(x) = x,
-so the triple extracted by ``classify`` matches the one realized.
+so the triple extracted by ``classify`` matches the one realized.  No ring
+operation builds a model: products read single rows (``zg``), and tables
+read the fixed cosets of G/H.
 
 Lefschetz data depend only on the class of a G-permutation, so
 ``lefschetz_table`` predicts them from ``classify``: each basis column is
@@ -29,7 +31,7 @@ from typing import Sequence
 from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
-from .zg import TripleClass, ZGRingElement, orbit_triple, triple_rep, triple_z_period
+from .zg import TripleClass, ZGRingElement, coset_model_row, orbit_triple, triple_rep, triple_z_period
 
 
 class GPermutation:
@@ -190,45 +192,16 @@ def _classify_orbit(p: GPermutation, x: int) -> TripleClass:
     return orbit_triple(p.group, range(p.group.order), p.act, p.sigma, 1, p.group.identity, x)
 
 
-def left_cosets(group: FiniteGroup, h_elems: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(elem2coset, reps) for the left cosets xH of a subgroup H.
-
-    ``reps`` lists the least element of each coset in increasing order, and
-    ``elem2coset[x]`` is the position in ``reps`` of the coset of x.
-    """
-    elem2coset = [-1] * group.order
-    reps: list[int] = []
-    for x in range(group.order):
-        if elem2coset[x] < 0:
-            cid = len(reps)
-            reps.append(x)
-            for hh in h_elems:
-                elem2coset[group.mul(x, hh)] = cid
-    return elem2coset, reps
-
-
 def realize(group: FiniteGroup, t: TripleClass) -> GPermutation:
-    """Coset model of a canonical triple; classify(realize(t)) == [t]."""
-    h, m, a = triple_rep(group, t)
-    elem2coset, coset_reps = left_cosets(group, h)
-    n_cosets = len(coset_reps)
-    n = m * n_cosets
-    act = []
-    for g in range(group.order):
-        g_on_coset = [elem2coset[group.mul(g, rep)] for rep in coset_reps]
-        act.append(
-            tuple(k * n_cosets + g_on_coset[c] for k in range(m) for c in range(n_cosets))
-        )
-    ia = group.inv(a)
-    twist = [elem2coset[group.mul(rep, ia)] for rep in coset_reps]
-    sigma = [0] * n
-    for k in range(m):
-        for c in range(n_cosets):
-            if k < m - 1:
-                sigma[k * n_cosets + c] = (k + 1) * n_cosets + c
-            else:
-                sigma[k * n_cosets + c] = twist[c]
-    return GPermutation(group, n, act, tuple(sigma), validate=False)
+    """Coset model of a canonical triple; classify(realize(t)) == [t].
+
+    act[g] is the row of (0, g) and sigma the row of (1, e), both from
+    ``zg.coset_model_row``.
+    """
+    cosets = group.left_cosets(triple_rep(group, t)[0])
+    act = [coset_model_row(group, t, cosets, 0, g) for g in range(group.order)]
+    sigma = coset_model_row(group, t, cosets, 1, group.identity)
+    return GPermutation(group, len(sigma), act, sigma, validate=False)
 
 
 def realize_element(group: FiniteGroup, z: ZGRingElement) -> GPermutation:
@@ -365,7 +338,7 @@ def _column(group: FiniteGroup, t: TripleClass):
     if cached is None:
         h, m, a = triple_rep(group, t)
         d = triple_z_period(group, t)
-        elem2coset, reps = left_cosets(group, h)
+        elem2coset, reps = group.left_cosets(h)
         # c^-1 r c a^-q lies in H when c^-1 r c lies in the coset a^q H
         targets = [elem2coset[group.power(a, q)] for q in range(1, d // m + 1)]
         by_m: dict[int, list] = {}

@@ -103,7 +103,7 @@ class FiniteGroup:
 
     The multiplication table, identity, inverses and generators are fixed at
     construction.  Derived data (the subgroup lattice, classes, marks, pair
-    table and the memo dicts of ``zg`` and ``zeta``) is computed on first read
+    table and the memo dicts of ``zg`` and ``gperm``) is computed on first read
     and cached on the instance, so reads write to it: an instance is not safe
     to share between threads without a lock.
     """
@@ -255,12 +255,6 @@ class FiniteGroup:
             return False
         return all(self._mul[a][b] in s for a in s for b in s)
 
-    def subgroup(self, elems: Iterable[int]) -> Subgroup:
-        t = tuple(sorted(set(int(x) for x in elems)))
-        if not self.is_subgroup(t):
-            raise GroupError(f"{t} is not closed under multiplication")
-        return Subgroup(t)
-
     def conjugate_subgroup(self, a: int, elems: Sequence[int]) -> tuple[int, ...]:
         row, ia = self._mul[a], self._inv[a]
         return tuple(sorted(self._mul[row[h]][ia] for h in elems))
@@ -381,6 +375,22 @@ class FiniteGroup:
     def coset_min(self, h_elems: Sequence[int], a: int) -> int:
         """Least element index in the coset a*H."""
         return min(self._mul[a][h] for h in h_elems)
+
+    def left_cosets(self, h_elems: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(elem2coset, reps) for the left cosets xH of a subgroup H.
+
+        ``reps`` lists the least element of each coset in increasing order,
+        and ``elem2coset[x]`` is the position in ``reps`` of the coset of x.
+        """
+        elem2coset = [-1] * self.order
+        reps: list[int] = []
+        for x in range(self.order):
+            if elem2coset[x] < 0:
+                row = self._mul[x]
+                for h in h_elems:
+                    elem2coset[row[h]] = len(reps)
+                reps.append(x)
+        return elem2coset, reps
 
     def coset_order(self, h_elems: Sequence[int], a: int) -> int:
         """Order of the coset a*H in N(H)/H (a must normalize H)."""

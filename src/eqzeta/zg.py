@@ -9,11 +9,17 @@ conjugate in G; ``canonical_triple`` reduces to the lexicographically least
 such pair, read from ``FiniteGroup.pair_table``, so triples can be hashed
 and compared.
 
+The coset model of a triple has the points (k, cH) with k in Z/m;
+``coset_model_row`` gives the action of one element (j, b) of Z x G on it,
+and ``gperm.realize`` assembles the whole model from those rows.
+
 The product of two basis triples is the class of the Cartesian product of
 their coset models.  It is computed by the Mackey double-coset route: the
-stabilizer of the base point of one model acts on the other model, and
-each of its orbits names one orbit of the product; the product set itself
-is never built.  The results are memoized per group by the sorted pair.
+stabilizer of the base point of the first model acts on the second, and
+each of its orbits names one orbit of the product.  Only the |H1| + 1 rows
+of that stabilizer's generators are read, so no model of either triple and
+no product set is built.  The results are memoized per group by the sorted
+pair.
 
 ``ClassicalZeta`` is the image ring: rational functions of the shape
 prod (1 - t^m)^{s_m}, stored as the finite exponent mapping m -> s_m and
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .burnside import permutation_orbits, sigma_powers
+from .burnside import Combination, permutation_orbits
 from .errors import EqzetaError, GroupError
 from .groups import FiniteGroup, Subgroup
 
@@ -150,22 +156,11 @@ def _quotient_subgroup(group: FiniteGroup, t: TripleClass, m_quot: int) -> froze
     return frozenset(elems)
 
 
-class ZGRingElement:
+class ZGRingElement(Combination):
     """Finite integer combination of canonical triples."""
 
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: FiniteGroup, coeffs: Mapping[TripleClass, int]):
-        self.group = group
-        self.coeffs = {t: int(c) for t, c in coeffs.items() if c}
-
-    @classmethod
-    def zero(cls, group: FiniteGroup) -> "ZGRingElement":
-        return cls(group, {})
-
-    @classmethod
-    def basis(cls, group: FiniteGroup, t: TripleClass) -> "ZGRingElement":
-        return cls(group, {t: 1})
+    __slots__ = ()
+    mismatch_error = EqzetaError
 
     @classmethod
     def one(cls, group: FiniteGroup) -> "ZGRingElement":
@@ -173,49 +168,14 @@ class ZGRingElement:
         t = canonical_triple(group, tuple(range(group.order)), 1, group.identity)
         return cls.basis(group, t)
 
-    def coefficient(self, t: TripleClass) -> int:
-        return self.coeffs.get(t, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check_group(self, other: "ZGRingElement") -> None:
-        if self.group is not other.group:
-            raise EqzetaError("elements belong to different groups")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZGRingElement):
-            return NotImplemented
-        return self.group is other.group and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "ZGRingElement") -> "ZGRingElement":
-        self._check_group(other)
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            out[t] = out.get(t, 0) + c
-        return ZGRingElement(self.group, out)
-
-    def __neg__(self) -> "ZGRingElement":
-        return ZGRingElement(self.group, {t: -c for t, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ZGRingElement") -> "ZGRingElement":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "ZGRingElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        return ZGRingElement(self.group, {t: k * c for t, c in self.coeffs.items()})
-
     def __mul__(self, other: "ZGRingElement") -> "ZGRingElement":
         """Cartesian product with the diagonal action, extended bilinearly.
 
         Basis products follow the Mackey route of ``_mackey_product``: the
-        K1-orbits on one realized triple, about |X2| * (|H1| + 1) steps
+        K1-orbits on the coset model of t2, about |X2| * (|H1| + 1) steps
         instead of the |X1| * |X2| * |G| of building the product.  The
-        test suite keeps the product route, classify(realize(t1) x
-        realize(t2)), as its oracle.
+        test suite keeps the product route, classifying the product of two
+        models built level by level, as its oracle.
         """
         self._check_group(other)
         out: dict[TripleClass, int] = {}
@@ -247,23 +207,12 @@ class ZGRingElement:
         return ClassicalZeta.from_exponents(exps)
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
         group = self.group
-        out = ""
-        for i, t in enumerate(sorted(self.coeffs)):
-            c = self.coeffs[t]
-            h_label = group.subgroup_label(t.h_class)
-            a_label = group.labels[t.alpha]
-            term = f"{abs(c)} * [ZxG / (H={h_label}, m={t.m}, a={a_label})]"
-            if i == 0:
-                out = term if c > 0 else "-" + term
-            else:
-                out += (" + " if c > 0 else " - ") + term
-        return out
-
-    def __repr__(self) -> str:
-        return f"ZGRingElement({self.render()})"
+        return self._signed_sum(
+            sorted(self.coeffs),
+            lambda t, n: f"{n} * [ZxG / (H={group.subgroup_label(t.h_class)}, "
+            f"m={t.m}, a={group.labels[t.alpha]})]",
+        )
 
 
 def _basis_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict:
@@ -276,30 +225,52 @@ def _basis_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict
 
 
 def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict:
-    """[X1 x X2] for the realizations X1, X2 of t1, t2, without building it.
+    """[X1 x X2] for the coset models X1, X2 of t1, t2, without building either.
 
     K1 = {(j*m1, a1^j h) : h in H1} is the stabilizer of the base point x0
     of X1, so the orbits of X1 x X2 are those of the points (x0, y), one per
     K1-orbit of y in X2, with stabilizer K1 n Stab(y) (Mackey), which
-    ``orbit_triple`` names from the rows of H1 and of (m1, a1).
+    ``orbit_triple`` names from the rows of H1 and of (m1, a1) on X2.
     """
-    from .gperm import realize  # deferred: gperm imports this module
-
     h1, m1, a1 = triple_rep(group, t1)
-    x2 = realize(group, t2)
-    *_, sigma_m1 = sigma_powers(x2.sigma, m1)
-    act_a1 = x2.act[a1]
-    step = tuple(act_a1[y] for y in sigma_m1)  # the action of (m1, a1)
-    h1_rows = [x2.act[h] for h in h1]
+    cosets = group.left_cosets(triple_rep(group, t2)[0])
+    h1_rows = [coset_model_row(group, t2, cosets, 0, h) for h in h1]
+    step = coset_model_row(group, t2, cosets, m1, a1)
     out: dict[TripleClass, int] = {}
     points = 0
-    for orbit in permutation_orbits(h1_rows + [step], range(x2.n)):
+    for orbit in permutation_orbits(h1_rows + [step], range(len(step))):
         t = orbit_triple(group, h1, h1_rows, step, m1, a1, orbit[0])
         out[t] = out.get(t, 0) + 1
         points += triple_index(group, t)
-    if points != triple_index(group, t1) * x2.n:
+    if points != triple_index(group, t1) * len(step):
         raise AssertionError("the Mackey product lost points; this is a bug")
     return out
+
+
+def coset_model_row(
+    group: FiniteGroup,
+    t: TripleClass,
+    cosets: tuple[Sequence[int], Sequence[int]],
+    j: int,
+    b: int,
+) -> tuple[int, ...]:
+    """The action of (j, b) in Z x G on the coset model of t = (H, m, a).
+
+    The model has the points (k, cH), k in Z/m, numbered k*[G:H] + i for the
+    i-th coset of ``cosets`` = ``group.left_cosets(H)``.  (j, b) sends (k, cH)
+    to ((k + j) mod m, b c a^-w H) with w = (k + j) // m: b acts on the
+    coset by left multiplication, and each wrap of the level twists it by
+    right multiplication with a^-1.  The base point (0, H) is then fixed by
+    (m, a), so the stabilizer is the subgroup t names.
+    """
+    elem2coset, reps = cosets
+    m, ia = t.m, group.inv(t.alpha)
+    row: list[int] = []
+    for k in range(m):
+        aw = group.power(ia, (k + j) // m)
+        offset = (k + j) % m * len(reps)
+        row.extend(offset + elem2coset[group.mul(group.mul(b, c), aw)] for c in reps)
+    return tuple(row)
 
 
 def orbit_triple(
@@ -354,9 +325,6 @@ class ClassicalZeta:
     @classmethod
     def one(cls) -> "ClassicalZeta":
         return cls(())
-
-    def exponents(self) -> dict[int, int]:
-        return dict(self.factors)
 
     def __mul__(self, other: "ClassicalZeta") -> "ClassicalZeta":
         out = dict(self.factors)

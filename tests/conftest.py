@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import eqzeta as eq
 from eqzeta.burnside import permutation_orbits, sigma_powers
 from eqzeta.gperm import GPermutation, LefschetzTable, classify, realize
-from eqzeta.zg import TripleClass, canonical_triple
+from eqzeta.zg import TripleClass, canonical_triple, triple_rep
 
 # child interpreters started by the CLI tests import eqzeta from src as well
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -68,10 +68,36 @@ def perm_group_cases(max_degree):
     )
 
 
+def realize_direct(group, t):
+    """Oracle for ``gperm.realize``: the coset model of t = (H, m, a) built
+    level by level, with the action of g on the cosets of H repeated on every
+    level and sigma's wrap-around step twisted by a^-1."""
+    h, m, a = triple_rep(group, t)
+    elem2coset, coset_reps = group.left_cosets(h)
+    n_cosets = len(coset_reps)
+    n = m * n_cosets
+    act = []
+    for g in range(group.order):
+        g_on_coset = [elem2coset[group.mul(g, rep)] for rep in coset_reps]
+        act.append(
+            tuple(k * n_cosets + g_on_coset[c] for k in range(m) for c in range(n_cosets))
+        )
+    ia = group.inv(a)
+    twist = [elem2coset[group.mul(rep, ia)] for rep in coset_reps]
+    sigma = [0] * n
+    for k in range(m):
+        for c in range(n_cosets):
+            if k < m - 1:
+                sigma[k * n_cosets + c] = (k + 1) * n_cosets + c
+            else:
+                sigma[k * n_cosets + c] = twist[c]
+    return GPermutation(group, n, act, tuple(sigma), validate=False)
+
+
 def basis_product_oracle(group, t1, t2):
-    """Oracle for ``zg._basis_product``: realize both triples, build X1 x X2
-    with the diagonal action and classify it."""
-    return classify(realize(group, t1).product(realize(group, t2))).coeffs
+    """Oracle for ``zg._basis_product``: build both coset models directly,
+    take X1 x X2 with the diagonal action and classify it."""
+    return classify(realize_direct(group, t1).product(realize_direct(group, t2))).coeffs
 
 
 def lefschetz_table_direct(p, m_max=0):

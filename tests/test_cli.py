@@ -248,6 +248,38 @@ def test_mismatched_groups_in_binary_op(capsys):
     assert "common group" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "classify",
+            {"kind": "gperm", "group": {"type": "cyclic", "n": 2}, "points": 2,
+             "action": [[1, 0.5]], "sigma": [0, 1]},
+            "action[0][1]: expected an integer, got 0.5",
+        ),
+        (
+            "forget",
+            {"kind": "expr", "group": {"type": "cyclic", "n": 2},
+             "terms": [{"coeff": 1, "H": [0, 1], "m": 1, "alpha": 0},
+                       {"coeff": 2, "H": [0, 1, 2], "m": 1, "alpha": 0}]},
+            "terms[1].H[2]: element index 2 out of range 0..1",
+        ),
+        (
+            # one reader for every H array: all items are type-checked first
+            "zeta-solve",
+            {"kind": "lefschetz", "group": {"type": "cyclic", "n": 2}, "m_max": 2,
+             "entries": [{"H": [99, "x"], "g": 0, "m": 1, "value": 1}]},
+            "entries[0].H[1]: expected an integer, got 'x'",
+        ),
+    ],
+)
+def test_document_errors_name_the_failing_item(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+
 def _expr_doc(group, h, alpha):
     return {"kind": "expr", "group": group,
             "terms": [{"coeff": 1, "H": h, "m": 1, "alpha": alpha}]}

@@ -25,6 +25,7 @@ from conftest import (
     lefschetz_table_direct,
     perm_group_cases,
     random_gperm,
+    realize_direct,
 )
 
 
@@ -118,6 +119,17 @@ def test_realize_roundtrip_all_triples(suite_groups):
         for t in canonical_triples(group, 6):
             z = classify(realize(group, t))
             assert z == ZGRingElement.basis(group, t), (name, t)
+
+
+def test_realize_matches_the_direct_model(suite_groups):
+    """realize assembles its rows from zg.coset_model_row; the levelwise
+    construction in conftest must give the same points, action and sigma."""
+    groups = [g for _, g in suite_groups]
+    groups += [eq.symmetric(4), eq.product(eq.cyclic(2), eq.symmetric(3))]
+    for group in groups:
+        for t in canonical_triples(group, 3):
+            p, direct = realize(group, t), realize_direct(group, t)
+            assert (p.n, p.act, p.sigma) == (direct.n, direct.act, direct.sigma), (group, t)
 
 
 def test_classify_conserves_cardinality(suite_groups):

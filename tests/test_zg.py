@@ -1,12 +1,16 @@
+import ast
 import itertools
+import operator
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqzeta as eq
-from eqzeta.errors import EqzetaError, GroupError
+from eqzeta.burnside import BurnsideElement
+from eqzeta.errors import ActionError, EqzetaError, GroupError
 from eqzeta.gperm import realize
 from eqzeta.zg import (
     ClassicalZeta,
@@ -14,12 +18,20 @@ from eqzeta.zg import (
     _basis_product,
     _mackey_product,
     canonical_triple,
+    coset_model_row,
     triple_index,
+    triple_rep,
     zg_contains,
     zg_contains_bruteforce,
 )
 
-from conftest import basis_product_oracle, canonical_triples, capped_perm_group, perm_group_cases
+from conftest import (
+    basis_product_oracle,
+    canonical_triples,
+    capped_perm_group,
+    perm_group_cases,
+    realize_direct,
+)
 
 
 def top_triple(group):
@@ -242,3 +254,35 @@ def test_triple_index_and_period(suite_groups):
             model = realize(group, t)
             assert eq.triple_index(group, t) == model.n
             assert eq.triple_z_period(group, t) == model.z_period()
+
+
+def test_coset_model_rows_match_the_direct_model(suite_groups):
+    """The row of (j, b) is act[b] after sigma^j on the levelwise model; j
+    runs to 2m + 1, so the level wraps up to three times."""
+    for _, group in suite_groups:
+        for t in canonical_triples(group, 3):
+            direct = realize_direct(group, t)
+            cosets = group.left_cosets(triple_rep(group, t)[0])
+            sigma_j = tuple(range(direct.n))
+            for j in range(2 * t.m + 2):
+                for b in range(group.order):
+                    expected = tuple(direct.act[b][x] for x in sigma_j)
+                    assert coset_model_row(group, t, cosets, j, b) == expected, (t, j, b)
+                sigma_j = tuple(direct.sigma[x] for x in sigma_j)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_group_mismatch_errors_keep_their_types(op):
+    g1, g2 = eq.cyclic(2), eq.cyclic(2)
+    with pytest.raises(EqzetaError) as info:
+        op(ZGRingElement.one(g1), ZGRingElement.one(g2))
+    assert not isinstance(info.value, ActionError)
+    with pytest.raises(ActionError):
+        op(BurnsideElement.zero(g1), BurnsideElement.zero(g2))
+
+
+def test_zg_does_not_import_gperm():
+    tree = ast.parse(Path(eq.zg.__file__).read_text(encoding="utf-8"))
+    names = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert not [name for name in names if "gperm" in name]
