@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on validation failure (diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -52,6 +53,7 @@ def run_command(argv: Sequence[str]) -> int:
         return 1
 
 
+@functools.cache  # built on the first command, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqzeta",

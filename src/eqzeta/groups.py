@@ -93,6 +93,11 @@ def _check_order(order: int, order_bound: int) -> None:
         raise GroupError(f"group order {order} exceeds the bound {order_bound}")
 
 
+def _is_prime_power(n: int) -> bool:
+    """n = p^k, k >= 1, for the least prime p dividing n: n divides p^n."""
+    return n > 1 and pow(next(d for d in range(2, n + 1) if n % d == 0), n, n) == 0
+
+
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     # (p o q)(x) = p[q[x]]
     return tuple(p[x] for x in q)
@@ -261,56 +266,81 @@ class FiniteGroup:
 
     @cached_property
     def all_subgroups(self) -> tuple[tuple[int, ...], ...]:
-        """Every subgroup, sorted by (order, elements), by cyclic extension.
+        """Every subgroup, sorted by (order, elements), by cyclic extension
+        of class representatives with zuppos, the cyclic subgroups of
+        prime-power order (Neubüser 1960).
 
-        Every subgroup is generated by the cyclic subgroups it contains, so
-        joining found subgroups with cyclic subgroups, starting from the
-        trivial one, reaches them all (Neubüser 1960).  Each subgroup keeps
-        the generators it was found with; a join adds the generator of one
-        cyclic subgroup not already contained and is closed over those
-        generators only.
+        From the trivial subgroup on, each representative V is joined with
+        one generator z of each zuppo, closing the generators V was found
+        with plus z.  A new join is conjugated by all of G once, every
+        conjugate is registered, and its least conjugate is queued with the
+        generators conjugated along.  As ⟨V, zv⟩ = ⟨V, z⟩ for v in V, the
+        join with z covers the coset zV, and zuppos in covered cosets are
+        skipped.  Complete: a subgroup H > 1 is generated by its zuppos, so
+        one of them, Z, lies outside a maximal subgroup V of H and
+        ⟨V, Z⟩ = H; by induction V = cV0c^-1 with V0 queued, and the join of
+        V0 with c^-1Zc is c^-1Hc.  All zuppos are joined, not only those
+        normalizing V, so perfect subgroups such as A5 need no special case.
         """
-        # one generator for each cyclic subgroup
-        cyclic_gens = {self.closure((g,)): g for g in range(self.order)}.values()
-        trivial = (self.identity,)
-        gens_of = {trivial: ()}
-        queue = [trivial]
-        for h in queue:
-            h_set = set(h)
-            for g in cyclic_gens:
-                if g in h_set:
-                    continue
-                gens = gens_of[h] + (g,)
-                k = self.closure(gens)
-                if k not in gens_of:
-                    gens_of[k] = gens
-                    queue.append(k)
-        return tuple(sorted(gens_of, key=lambda t: (len(t), t)))
+        return tuple(sorted(self._discovery[0], key=lambda t: (len(t), t)))
+
+    @cached_property
+    def _discovery(self) -> tuple[dict, dict]:
+        """(registry, normalizers): each subgroup H -> (K, c) with K its least
+        conjugate and c the greatest element with H = cKc^-1, and each
+        K -> N(K).  Only a new class grows the queue, so there is one pass
+        per class.  ``_lattice`` turns the registry into its conjugator dict
+        in place."""
+        zuppos = {}
+        for g in range(self.order):
+            cyc = self.closure((g,))
+            if _is_prime_power(len(cyc)):
+                zuppos.setdefault(cyc, g)
+        registry: dict[tuple[int, ...], tuple] = {}
+        normalizers: dict[tuple[int, ...], tuple[int, ...]] = {}
+        queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (rep, its generators)
+
+        def register(k: tuple[int, ...], gens: tuple[int, ...]) -> None:
+            conjugates = [self.conjugate_subgroup(a, k) for a in range(self.order)]
+            rep = min(conjugates)
+            a0 = conjugates.index(rep)
+            # b rep b^-1 = (b a0) k (b a0)^-1
+            orbit = [conjugates[row[a0]] for row in self._mul]
+            for h, c in dict(zip(orbit, range(self.order))).items():
+                registry[h] = (rep, c)
+            normalizers[rep] = tuple(b for b, h in enumerate(orbit) if h == rep)
+            queue.append((rep, tuple(self.conj(a0, g) for g in gens)))
+
+        register((self.identity,), ())
+        for v, gens in queue:
+            covered = set(v)
+            for z in zuppos.values():
+                if z not in covered:
+                    row = self._mul[z]
+                    covered.update(row[x] for x in v)
+                    k = self.closure(gens + (z,))
+                    if k not in registry:
+                        register(k, gens + (z,))
+        return registry, normalizers
 
     @cached_property
     def _lattice(self) -> _Lattice:
-        """Classes, marks, conjugators and normalizers in one pass.
+        """Classes, marks, conjugators and normalizers from the discovery
+        behind ``all_subgroups`` (zuppo extension of class representatives).
 
-        ``all_subgroups`` is sorted by (order, elements) and conjugates have
-        equal order, so the first subgroup met in each class is its least
-        member and the representatives come out in class order.  Conjugating
-        K by all of G gives each conjugate H with some c that has H = cKc^-1,
-        and N(K).  The marks count containments in the conjugates
+        The representatives are the least members of their classes, so read
+        from ``all_subgroups`` (sorted by (order, elements)) they come out
+        in class order.  The marks count containments in the conjugates
         (see ``TableOfMarks``); subconjugacy is where the marks are positive.
         """
-        orbits: dict[tuple[int, ...], list[frozenset[int]]] = {}
-        conjugator: dict[tuple[int, ...], tuple[int, int]] = {}
-        normalizers = []
-        for h in self.all_subgroups:
-            if h in conjugator:
-                continue
-            conjugates = [self.conjugate_subgroup(a, h) for a in range(self.order)]
-            reached = dict(zip(conjugates, range(self.order)))  # conjugate -> an a reaching it
-            for k, a in reached.items():
-                conjugator[k] = (len(orbits), a)
-            orbits[h] = [frozenset(k) for k in reached]
-            normalizers.append(tuple(a for a, k in enumerate(conjugates) if k == h))
-        reps = list(orbits)
+        subgroups = self.all_subgroups  # runs the discovery
+        conjugator, normalizer_of = self._discovery
+        reps = [h for h in subgroups if h in normalizer_of]
+        class_id = {h: k for k, h in enumerate(reps)}
+        orbits: dict[tuple[int, ...], list[frozenset[int]]] = {h: [] for h in reps}
+        for h, (rep, c) in conjugator.items():
+            conjugator[h] = (class_id[rep], c)
+            orbits[rep].append(frozenset(h))
         rep_sets = [frozenset(h) for h in reps]
         matrix = []
         for k in reps:
@@ -327,7 +357,8 @@ class FiniteGroup:
             class_sizes=tuple(len(orbits[r]) for r in reps),
             subconjugacy=tuple(tuple(matrix[k][h] > 0 for k in range(n)) for h in range(n)),
         )
-        return _Lattice(classes, TableOfMarks(tuple(matrix)), conjugator, tuple(normalizers))
+        normalizers = tuple(normalizer_of[r] for r in reps)
+        return _Lattice(classes, TableOfMarks(tuple(matrix)), conjugator, normalizers)
 
     @cached_property
     def subgroup_classes(self) -> SubgroupClassTable:

@@ -300,6 +300,8 @@ def orbit_triple(
         back.setdefault(z, hh)
     z, a_j, j = step[y], a, 1
     while z not in back:
+        if j == len(step):  # a permutation returns to y by then
+            raise AssertionError(f"step is not a permutation: the walk from {y} never returns")
         z, a_j, j = step[z], group.mul(a_j, a), j + 1
     return canonical_triple(group, stab, j * m, group.mul(group.inv(back[z]), a_j))
 

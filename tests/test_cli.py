@@ -400,3 +400,18 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "1 * [ZxG / (H=e, m=1, a=g1)]\n(1-t^2)\n"
+
+
+def test_commands_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process and reused by later commands
+    sequence = [
+        ["subgroups", fx("group_s3.json")],
+        ["frobnicate"],
+        ["mul", fx("expr_twisted_c2.json"), fx("expr_twisted_c2.json"), "--format", "structured"],
+        ["subgroups", fx("group_s3.json")],
+    ]
+    for argv in sequence:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "eqzeta", *argv], capture_output=True, text=True
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

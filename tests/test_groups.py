@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import eqzeta as eq
 from eqzeta.errors import GroupError
 
-from conftest import capped_perm_group
+from conftest import capped_perm_group, perm_group_cases
 
 
 def brute_force_subgroups(group):
@@ -524,3 +524,86 @@ def test_pair_table_keys_are_the_coset_representatives(suite_groups):
             h = rep.elements
             reps = sorted({group.coset_min(h, a) for a in oracle_normalizer(group, h)})
             assert list(group.pair_table[k]) == reps
+
+
+# -- the cyclic-extension lattice the library used before zuppo extension of
+# class representatives, kept as an oracle -------------------------------------
+
+
+def oracle_cyclic_extension(group):
+    """Every subgroup, sorted by (order, elements): each subgroup found is
+    joined with one generator of each cyclic subgroup not already contained,
+    closed over the generators it was found with plus that one."""
+    cyclic_gens = {group.closure((g,)): g for g in range(group.order)}.values()
+    trivial = (group.identity,)
+    gens_of = {trivial: ()}
+    queue = [trivial]
+    for h in queue:
+        h_set = set(h)
+        for g in cyclic_gens:
+            if g in h_set:
+                continue
+            gens = gens_of[h] + (g,)
+            k = group.closure(gens)
+            if k not in gens_of:
+                gens_of[k] = gens
+                queue.append(k)
+    return tuple(sorted(gens_of, key=lambda t: (len(t), t)))
+
+
+def _assert_discovery_matches_oracles(group):
+    subgroups = oracle_cyclic_extension(group)
+    assert group.all_subgroups == subgroups
+    orbit_of = {}
+    for h in subgroups:
+        if h not in orbit_of:
+            orbit = {group.conjugate_subgroup(a, h) for a in range(group.order)}
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    reps = sorted({min(orbit) for orbit in orbit_of.values()}, key=lambda t: (len(t), t))
+    table = group.subgroup_classes
+    assert [r.elements for r in table.classes] == reps
+    assert list(table.class_sizes) == [len(orbit_of[r]) for r in reps]
+    assert table.subconjugacy == oracle_subconjugacy(group, reps)
+    assert group.table_of_marks.matrix == oracle_marks(group, reps)
+    for h in subgroups:
+        k, c = group.class_conjugator(h)
+        # the greatest c with c K c^-1 = H, as the conjugation pass stores it
+        assert c == max(
+            a for a in range(group.order) if group.conjugate_subgroup(a, reps[k]) == h
+        ), h
+        assert group.normalizer(h) == oracle_normalizer(group, h), h
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_group_cases(6).filter(lambda case: case[0] >= 4))  # so A5, S4 are drawn
+def test_discovery_matches_oracles_on_random_groups(case):
+    _assert_discovery_matches_oracles(capped_perm_group(*case, cap=60))
+
+
+@pytest.mark.parametrize("gens", [
+    [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]],  # A5, perfect
+    [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],  # S5, with A5 inside
+], ids=["A5", "S5"])
+def test_discovery_matches_oracles_on_groups_with_perfect_subgroups(gens):
+    _assert_discovery_matches_oracles(eq.from_permutations(5, gens))
+
+
+def test_symmetric_six_literature_counts():
+    s6 = eq.symmetric(6)
+    assert len(s6.all_subgroups) == 1455
+    assert len(s6.subgroup_classes) == 56
+    assert sum(s6.subgroup_classes.class_sizes) == 1455
+    _check_marks_against_indices(s6)
+
+
+def test_each_join_extends_a_class_representative():
+    # the generators are conjugated along with each new representative, so
+    # every join closes a representative's generators plus one zuppo's
+    group = eq.product(eq.symmetric(4), eq.cyclic(2))
+    seeds = []
+    closure = group.closure
+    group.closure = lambda seed: seeds.append(tuple(seed)) or closure(seed)
+    group.all_subgroups
+    del group.closure
+    reps = {rep.elements for rep in group.subgroup_classes.classes}
+    assert all(group.closure(seed[:-1]) in reps for seed in seeds)

@@ -19,6 +19,7 @@ from eqzeta.zg import (
     _mackey_product,
     canonical_triple,
     coset_model_row,
+    orbit_triple,
     triple_index,
     triple_rep,
     zg_contains,
@@ -286,3 +287,10 @@ def test_zg_does_not_import_gperm():
     names = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     names += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     assert not [name for name in names if "gperm" in name]
+
+
+def test_orbit_triple_rejects_a_step_that_is_not_a_permutation():
+    group = eq.trivial()
+    # a constant row: the walk from 0 goes to 1 and stays there
+    with pytest.raises(AssertionError, match="walk from 0"):
+        orbit_triple(group, (group.identity,), [(0, 1, 2)], (1, 1, 1), 1, group.identity, 0)
