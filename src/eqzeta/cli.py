@@ -126,7 +126,7 @@ def _cmd_subgroups(args) -> int:
                         "order": rep.order,
                         "count": table.class_sizes[i],
                         "elements": list(rep.elements),
-                        "normalizer": list(group.normalizer(rep.elements)),
+                        "normalizer": list(table.normalizers[i]),
                     }
                     for i, rep in enumerate(table.classes)
                 ],

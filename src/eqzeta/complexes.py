@@ -30,6 +30,19 @@ def _checked_cell_counts(cells: Sequence[int]) -> tuple[int, ...]:
     return counts
 
 
+def _first_boundary_break(
+    boundary: Sequence[Sequence[tuple[int, ...]]], perms: Sequence[Sequence[int]]
+) -> tuple[int, int] | None:
+    """The first cell (d, c) whose faces the dimension-wise cell permutations
+    do not carry onto the faces of its image, or None."""
+    for d in range(1, len(perms)):
+        perm_d, perm_f = perms[d], perms[d - 1]
+        for c, faces in enumerate(boundary[d]):
+            if tuple(sorted(perm_f[f] for f in faces)) != boundary[d][perm_d[c]]:
+                return d, c
+    return None
+
+
 class GComplex:
     """Cells per dimension, boundary incidence, and a cell-permuting action.
 
@@ -127,16 +140,12 @@ class GComplex:
         for d in range(dims):
             GSet(self.group, self.cells[d], [row[d] for row in self.action])
         for g in self.group.generators:
-            for d in range(1, dims):
-                perm_d = self.action[g][d]
-                perm_f = self.action[g][d - 1]
-                for c in range(self.cells[d]):
-                    image_faces = tuple(sorted(perm_f[f] for f in self.boundary[d][c]))
-                    if image_faces != self.boundary[d][perm_d[c]]:
-                        raise ActionError(
-                            f"element {self.group.labels[g]} does not respect the "
-                            f"boundary of cell ({d},{c})"
-                        )
+            broken = _first_boundary_break(self.boundary, self.action[g])
+            if broken:
+                raise ActionError(
+                    f"element {self.group.labels[g]} does not respect the "
+                    f"boundary of cell ({broken[0]},{broken[1]})"
+                )
         for g in range(self.group.order):
             if g == self.group.identity:
                 continue
@@ -216,14 +225,11 @@ class GCellularMap:
                             f"map does not commute with generator {group.labels[g]} "
                             f"on cell ({d},{c})"
                         )
-        for d in range(1, len(cx.cells)):
-            perm_d, perm_f = self.maps[d], self.maps[d - 1]
-            for c in range(cx.cells[d]):
-                image_faces = tuple(sorted(perm_f[f] for f in cx.boundary[d][c]))
-                if image_faces != cx.boundary[d][perm_d[c]]:
-                    raise ActionError(
-                        f"map does not respect the boundary of cell ({d},{c})"
-                    )
+        broken = _first_boundary_break(cx.boundary, self.maps)
+        if broken:
+            raise ActionError(
+                f"map does not respect the boundary of cell ({broken[0]},{broken[1]})"
+            )
 
     def dim_gperm(self, d: int) -> GPermutation:
         cx = self.complex

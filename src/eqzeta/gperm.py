@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
+from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
 from .zg import TripleClass, ZGRingElement, coset_model_row, orbit_triple, triple_rep, triple_z_period
@@ -89,9 +89,10 @@ class GPermutation:
         """Same G-set with sigma replaced by sigma^m (m >= 0)."""
         if m < 0:
             raise EqzetaError("negative powers are not needed; sigma has finite order")
-        sig = tuple(range(self.n))
-        for sig in sigma_powers(self.sigma, m):
-            pass
+        sig = [0] * self.n
+        for cycle in self._sigma_cycles():
+            for i, x in enumerate(cycle):
+                sig[x] = cycle[(i + m) % len(cycle)]
         return GPermutation(self.group, self.n, self.act, sig, validate=False)
 
     def disjoint_union(self, other: "GPermutation") -> "GPermutation":
@@ -136,20 +137,23 @@ class GPermutation:
         sigma = tuple(tau[self.sigma[inv[x]]] for x in range(self.n))
         return GPermutation(self.group, self.n, act, sigma, validate=False)
 
-    def sigma_cycle_lengths(self) -> list[int]:
+    def _sigma_cycles(self) -> list[list[int]]:
+        """The cycles of sigma, each listed from its least point in sigma order."""
         seen = [False] * self.n
-        out = []
+        cycles = []
         for x in range(self.n):
             if seen[x]:
                 continue
-            length = 0
-            y = x
+            cycle, y = [], x
             while not seen[y]:
                 seen[y] = True
+                cycle.append(y)
                 y = self.sigma[y]
-                length += 1
-            out.append(length)
-        return sorted(out)
+            cycles.append(cycle)
+        return cycles
+
+    def sigma_cycle_lengths(self) -> list[int]:
+        return sorted(len(cycle) for cycle in self._sigma_cycles())
 
     def z_period(self) -> int:
         """lcm of the sigma cycle lengths; sigma to this power is the identity."""
@@ -334,41 +338,37 @@ def _column(group: FiniteGroup, t: TripleClass):
     cosets holding such a cH, read from G/H for q = 1 .. d/m with
     d = ``triple_z_period``; no model is built.
     """
-    cached = group._column_cache.get(t)
-    if cached is None:
-        h, m, a = triple_rep(group, t)
-        d = triple_z_period(group, t)
-        elem2coset, reps = group.left_cosets(h)
-        # c^-1 r c a^-q lies in H when c^-1 r c lies in the coset a^q H
-        targets = [elem2coset[group.power(a, q)] for q in range(1, d // m + 1)]
-        by_m: dict[int, list] = {}
-        for k, rep in enumerate(group.subgroup_classes.classes):
-            if len(h) % rep.order:
-                continue  # no conjugate of K lies in H
-            fixed = [
-                c for i, c in enumerate(reps)
-                if all(elem2coset[group.mul(x, c)] == i for x in rep.elements)
-            ]
-            norm = group.normalizer(rep.elements)
-            orbits, seen = [], set()  # each orbit as the c^-1 of its cosets cH
-            for c in fixed:
-                if elem2coset[c] not in seen:
-                    orbit = {elem2coset[group.mul(n, c)] for n in norm}
-                    seen |= orbit
-                    orbits.append([group.inv(reps[i]) for i in orbit])
-            for r in group.pair_table[k]:
-                # per orbit: the cosets of H met by c^-1 r c
-                met = [{elem2coset[group.conj(ic, r)] for ic in orbit} for orbit in orbits]
-                for q, target in enumerate(targets, start=1):
-                    count = sum(target in cosets for cosets in met)
-                    if count:
-                        by_m.setdefault(q * m, []).append((k, r, m * count))
-        anchor = sum(v for k, r, v in by_m.get(m, ()) if (k, r) == (t.h_class, t.alpha))
-        if anchor != m:
-            raise AssertionError("basis column diagonal is off; this is a bug")
-        cached = (d, by_m)
-        group._column_cache[t] = cached
-    return cached
+    h, m, a = triple_rep(group, t)
+    d = triple_z_period(group, t)
+    elem2coset, reps = group.left_cosets(h)
+    # c^-1 r c a^-q lies in H when c^-1 r c lies in the coset a^q H
+    targets = [elem2coset[group.power(a, q)] for q in range(1, d // m + 1)]
+    by_m: dict[int, list] = {}
+    classes = group.subgroup_classes
+    for k, (rep, norm) in enumerate(zip(classes.classes, classes.normalizers)):
+        if len(h) % rep.order:
+            continue  # no conjugate of K lies in H
+        fixed = [
+            c for i, c in enumerate(reps)
+            if all(elem2coset[group.mul(x, c)] == i for x in rep.elements)
+        ]
+        orbits, seen = [], set()  # each orbit as the c^-1 of its cosets cH
+        for c in fixed:
+            if elem2coset[c] not in seen:
+                orbit = {elem2coset[group.mul(n, c)] for n in norm}
+                seen |= orbit
+                orbits.append([group.inv(reps[i]) for i in orbit])
+        for r in group.pair_table[k]:
+            # per orbit: the cosets of H met by c^-1 r c
+            met = [{elem2coset[group.conj(ic, r)] for ic in orbit} for orbit in orbits]
+            for q, target in enumerate(targets, start=1):
+                count = sum(target in cosets for cosets in met)
+                if count:
+                    by_m.setdefault(q * m, []).append((k, r, m * count))
+    anchor = sum(v for k, r, v in by_m.get(m, ()) if (k, r) == (t.h_class, t.alpha))
+    if anchor != m:
+        raise AssertionError("basis column diagonal is off; this is a bug")
+    return d, by_m
 
 
 def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int):

@@ -50,14 +50,16 @@ class SubgroupClassTable:
     Classes are sorted by (order, element tuple); every representative is the
     lexicographically least sorted element set within its class, so class ids
     are stable across runs.  ``class_sizes[k]`` is the size of the conjugate
-    orbit of ``classes[k]``.  ``subconjugacy[i][j]`` is true when some
-    conjugate of ``classes[i]`` is contained in ``classes[j]``, that is when
-    the mark of ``classes[i]`` on G/``classes[j]`` is positive.
+    orbit of ``classes[k]`` and ``normalizers[k]`` its sorted normalizer.
+    ``subconjugacy[i][j]`` is true when some conjugate of ``classes[i]`` is
+    contained in ``classes[j]``, that is when the mark of ``classes[i]`` on
+    G/``classes[j]`` is positive.
     """
 
     classes: tuple[Subgroup, ...]
     class_sizes: tuple[int, ...]
     subconjugacy: tuple[tuple[bool, ...], ...]
+    normalizers: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -85,7 +87,6 @@ class _Lattice(NamedTuple):
     classes: SubgroupClassTable
     marks: TableOfMarks
     conjugator: dict[tuple[int, ...], tuple[int, int]]  # subgroup -> (class id, c)
-    normalizers: tuple[tuple[int, ...], ...]  # N(K) for each class representative K
 
 
 def _check_order(order: int, order_bound: int) -> None:
@@ -107,10 +108,10 @@ class FiniteGroup:
     """A finite group defined by an explicit multiplication table.
 
     The multiplication table, identity, inverses and generators are fixed at
-    construction.  Derived data (the subgroup lattice, classes, marks, pair
-    table and the memo dicts of ``zg`` and ``gperm``) is computed on first read
-    and cached on the instance, so reads write to it: an instance is not safe
-    to share between threads without a lock.
+    construction.  Derived data (the subgroup lattice, classes with their
+    normalizers, marks and pair table) is computed on first read and cached
+    on the instance, so reads write to it: an instance is not safe to share
+    between threads without a lock.
     """
 
     def __init__(
@@ -189,11 +190,6 @@ class FiniteGroup:
         elif len(labels) != n:
             raise GroupError("labels length does not match group order")
         self.labels = tuple(str(x) for x in labels)
-
-        # memo dicts, each written by one function: zg._basis_product (Mackey
-        # products keyed by the sorted triple pair), gperm._column (by triple)
-        self._basis_product_cache: dict[tuple, dict] = {}
-        self._column_cache: dict = {}
 
     def is_same_as(self, other: "FiniteGroup") -> bool:
         """Same multiplication table and generators, hence the same subgroup
@@ -356,9 +352,9 @@ class FiniteGroup:
             classes=tuple(Subgroup(r) for r in reps),
             class_sizes=tuple(len(orbits[r]) for r in reps),
             subconjugacy=tuple(tuple(matrix[k][h] > 0 for k in range(n)) for h in range(n)),
+            normalizers=tuple(normalizer_of[r] for r in reps),
         )
-        normalizers = tuple(normalizer_of[r] for r in reps)
-        return _Lattice(classes, TableOfMarks(tuple(matrix)), conjugator, normalizers)
+        return _Lattice(classes, TableOfMarks(tuple(matrix)), conjugator)
 
     @cached_property
     def subgroup_classes(self) -> SubgroupClassTable:
@@ -389,7 +385,7 @@ class FiniteGroup:
         if found is None:
             raise GroupError(f"{t} is not a subgroup")
         k, c = found
-        return tuple(sorted(self.conj(c, a) for a in self._lattice.normalizers[k]))
+        return tuple(sorted(self.conj(c, a) for a in self.subgroup_classes.normalizers[k]))
 
     @cached_property
     def pair_table(self) -> tuple[dict[int, int], ...]:
@@ -400,7 +396,7 @@ class FiniteGroup:
         return tuple(
             {r: min(self.coset_min(rep.elements, self.conj(self._inv[n], r)) for n in norm)
              for r in sorted({self.coset_min(rep.elements, n) for n in norm})}
-            for rep, norm in zip(self.subgroup_classes.classes, self._lattice.normalizers)
+            for rep, norm in zip(self.subgroup_classes.classes, self.subgroup_classes.normalizers)
         )
 
     def coset_min(self, h_elems: Sequence[int], a: int) -> int:

@@ -25,7 +25,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .burnside import sigma_powers
 from .errors import EqzetaError, StratumError, TableError
 from .gperm import GPermutation, LefschetzTable, _column_entries, predicted_table
 from .groups import FiniteGroup, Subgroup
@@ -86,7 +85,9 @@ def classical_lefschetz_numbers(p: GPermutation, m_max: int = 0) -> list[int]:
     """Plain fixed-point counts of sigma^m for m = 1..m_max (period if 0)."""
     if m_max == 0:
         m_max = p.z_period()
-    return [sum(x == y for x, y in enumerate(sig_m)) for sig_m in sigma_powers(p.sigma, m_max)]
+    # sigma^m fixes exactly the points on cycles whose length divides m
+    lengths = p.sigma_cycle_lengths()
+    return [sum(n for n in lengths if m % n == 0) for m in range(1, m_max + 1)]
 
 
 def classical_from_lefschetz(numbers: Sequence[int]) -> ClassicalZeta:

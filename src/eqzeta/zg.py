@@ -18,8 +18,7 @@ their coset models.  It is computed by the Mackey double-coset route: the
 stabilizer of the base point of the first model acts on the second, and
 each of its orbits names one orbit of the product.  Only the |H1| + 1 rows
 of that stabilizer's generators are read, so no model of either triple and
-no product set is built.  The results are memoized per group by the sorted
-pair.
+no product set is built.
 
 ``ClassicalZeta`` is the image ring: rational functions of the shape
 prod (1 - t^m)^{s_m}, stored as the finite exponent mapping m -> s_m and
@@ -216,12 +215,7 @@ class ZGRingElement(Combination):
 
 
 def _basis_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict:
-    key = tuple(sorted((t1, t2)))
-    cached = group._basis_product_cache.get(key)
-    if cached is None:
-        cached = _mackey_product(group, *key)
-        group._basis_product_cache[key] = cached
-    return cached
+    return _mackey_product(group, *sorted((t1, t2)))
 
 
 def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dict:

@@ -7,6 +7,7 @@ import pytest
 
 from eqzeta.cli import run_command
 from eqzeta.documents import parse_document, parse_document_file
+from test_groups import oracle_normalizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -195,6 +196,17 @@ ALL_RUNS = [
     ("mul", "expr_twisted_c2.json", "expr_twisted_c2.json"),
     ("add", "expr_twisted_c2.json", "expr_twisted_c2.json"),
 ]
+
+
+def test_structured_subgroups_list_each_class_normalizer(capsys):
+    for path in sorted(FIXTURES.glob("group_*.json")):
+        code, out, _ = run(capsys, "subgroups", str(path), "--format", "structured")
+        assert code == 0, path.name
+        group = parse_document_file(str(path)).group
+        classes = json.loads(out)["classes"]
+        assert len(classes) == len(group.subgroup_classes), path.name
+        for c in classes:
+            assert c["normalizer"] == list(oracle_normalizer(group, c["elements"])), path.name
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

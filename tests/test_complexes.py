@@ -69,6 +69,18 @@ def test_action_must_respect_boundary():
         )
 
 
+def test_boundary_respect_messages_name_the_first_broken_cell():
+    c2 = eq.cyclic(2)
+    with pytest.raises(ActionError, match=r"^element g1 does not respect the boundary of cell \(1,0\)$"):
+        GComplex.from_generator_images(
+            c2, [4, 2], [[(), (), (), ()], [(0, 1), (2, 3)]], [[[1, 0, 2, 3], [1, 0]]]
+        )
+    # a segment and a loose vertex; the map swaps an end of the segment with it
+    k = GComplex(eq.trivial(), [3, 1], [[(), (), ()], [(0, 1)]], [[[0, 1, 2], [0]]])
+    with pytest.raises(ActionError, match=r"^map does not respect the boundary of cell \(1,0\)$"):
+        GCellularMap(k, [[0, 2, 1], [0]])
+
+
 def test_action_missing_a_dimension_rejected():
     # the non-identity element gives images in dimension 0 only
     with pytest.raises(ActionError, match="gives images for 1 dimensions, expected 2"):

@@ -1,10 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqzeta as eq
+from eqzeta.burnside import permutation_orbits, sigma_powers
+from eqzeta.documents import parse_document_file
 from eqzeta.errors import ActionError
 from eqzeta.gperm import (
     GPermutation,
@@ -15,7 +18,7 @@ from eqzeta.gperm import (
     realize_element,
     zg_orbits,
 )
-from eqzeta.zeta import predicted_table, zeta_from_lefschetz
+from eqzeta.zeta import classical_lefschetz_numbers, predicted_table, zeta_from_lefschetz
 from eqzeta.zg import ZGRingElement, canonical_triple, triple_z_period
 
 from conftest import (
@@ -349,3 +352,30 @@ def test_power_is_repeated_composition(suite_groups):
             pm = p.power(m)
             assert pm.sigma == sig and pm.act == p.act
             sig = tuple(p.sigma[x] for x in sig)
+
+
+def test_cycle_rotation_matches_the_sigma_powers_walk():
+    fixtures = Path(__file__).parent / "fixtures"
+    perms = [
+        parse_document_file(str(path)).payload
+        for path in sorted(fixtures.glob("gperm_*.json"))
+        if path.name != "gperm_bad_commutation.json"
+    ]
+    perms += [
+        random_gperm(eq.dihedral(4), random.Random(73), max_points=40),
+        # cycles of lengths 2, 3 and 5: period 30
+        GPermutation(eq.trivial(), 10, [tuple(range(10))], [1, 0, 3, 4, 2, 6, 7, 8, 9, 5]),
+    ]
+    for p in perms:
+        period = p.z_period()
+        walk = [tuple(range(p.n))] + list(sigma_powers(p.sigma, 2 * period + 1))
+        for m, sig in enumerate(walk):
+            pm = p.power(m)
+            assert pm.sigma == sig and pm.act == p.act, (p, m)
+        assert classical_lefschetz_numbers(p, len(walk) - 1) == [
+            sum(x == y for x, y in enumerate(sig)) for sig in walk[1:]
+        ]
+        far = 10**12 + 5
+        assert p.power(far).sigma == walk[far % period]
+        cycles = permutation_orbits([p.sigma], range(p.n))
+        assert p.sigma_cycle_lengths() == sorted(len(c) for c in cycles)

@@ -361,6 +361,7 @@ def _assert_lattice_matches_oracles(group):
     assert list(table.class_sizes) == sizes
     assert table.subconjugacy == oracle_subconjugacy(group, reps)
     assert group.table_of_marks.matrix == oracle_marks(group, reps)
+    assert list(table.normalizers) == [oracle_normalizer(group, rep) for rep in reps]
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,6 +566,7 @@ def _assert_discovery_matches_oracles(group):
     assert list(table.class_sizes) == [len(orbit_of[r]) for r in reps]
     assert table.subconjugacy == oracle_subconjugacy(group, reps)
     assert group.table_of_marks.matrix == oracle_marks(group, reps)
+    assert list(table.normalizers) == [oracle_normalizer(group, rep) for rep in reps]
     for h in subgroups:
         k, c = group.class_conjugator(h)
         # the greatest c with c K c^-1 = H, as the conjugation pass stores it
