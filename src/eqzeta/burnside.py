@@ -114,8 +114,10 @@ class GSet:
 
 def extend_action(
     group: FiniteGroup, n: int, images: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Extend generator images to a full per-element action table."""
+) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Extend generator images to a full per-element action table, and say
+    whether it passes the edge check of ``GSet``: each row is built along a
+    tree edge act[g*s] = act[g]∘act[s], and every other edge is compared."""
     if len(images) != len(group.generators):
         raise ActionError(
             f"{len(images)} generator images given, group has {len(group.generators)} generators"
@@ -128,6 +130,7 @@ def extend_action(
         gen_perms.append(t)
     identity = tuple(range(n))
     act: dict[int, tuple[int, ...]] = {group.identity: identity}
+    homomorphic = True
     frontier = [group.identity]
     while frontier:
         nxt = []
@@ -136,12 +139,14 @@ def extend_action(
             for s, ps in zip(group.generators, gen_perms):
                 h = group.mul(g, s)
                 if h not in act:
-                    act[h] = tuple(pg[ps[x]] for x in range(n))
+                    act[h] = tuple(map(pg.__getitem__, ps))
                     nxt.append(h)
+                elif homomorphic:  # act[s]: a repeated generator keeps its first row
+                    homomorphic = act[h] == tuple(map(pg.__getitem__, act[s]))
         frontier = nxt
     if len(act) != group.order:
         raise ActionError("the listed generators do not generate the group")
-    return tuple(act[g] for g in range(group.order))
+    return tuple(act[g] for g in range(group.order)), homomorphic
 
 
 class Combination:

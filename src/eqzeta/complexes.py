@@ -10,7 +10,7 @@ automorphisms that commute with the action.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Container, Sequence
 
 from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
 from .errors import ActionError, EqzetaError, RegularityError
@@ -87,7 +87,8 @@ class GComplex:
         boundary: Sequence[Sequence[Sequence[int]]],
         images: Sequence[Sequence[Sequence[int]]],
     ) -> "GComplex":
-        """Build the full action from per-generator, per-dimension images."""
+        """Build the full action from per-generator, per-dimension images;
+        a dimension runs the ``GSet`` check only if ``extend_action`` failed it."""
         cells = _checked_cell_counts(cells)  # before any action row is built
         dims = len(cells)
         for i, per_gen in enumerate(images):
@@ -95,19 +96,19 @@ class GComplex:
                 raise ActionError(
                     f"generator {i} gives images for {len(per_gen)} dimensions, expected {dims}"
                 )
-        per_dim_tables = [
+        per_dim = [
             extend_action(group, cells[d], [per_gen[d] for per_gen in images])
             for d in range(dims)
         ]
-        action = [
-            [per_dim_tables[d][g] for d in range(dims)] for g in range(group.order)
-        ]
-        return cls(group, cells, boundary, action)
+        k = cls(group, cells, boundary, (), validate=False)  # rows set below, not copied
+        k.action = tuple(tuple(table[g] for table, _ in per_dim) for g in range(group.order))
+        k._validate(checked_dims={d for d, (_, ok) in enumerate(per_dim) if ok})
+        return k
 
-    def _validate(self) -> None:
+    def _validate(self, checked_dims: Container[int] = ()) -> None:
         """Boundary shape, the dimension count of each element's action,
-        then the action dimension by dimension as a ``GSet``, then boundary
-        respect and regularity.
+        then the action dimension by dimension as a ``GSet`` (but for the
+        ``checked_dims``), then boundary respect and regularity.
 
         Boundary respect is checked for the generators only: it is closed
         under products, and the ``GSet`` checks make every row a product of
@@ -138,7 +139,8 @@ class GComplex:
                     f"dimensions, expected {dims}"
                 )
         for d in range(dims):
-            GSet(self.group, self.cells[d], [row[d] for row in self.action])
+            if d not in checked_dims:
+                GSet(self.group, self.cells[d], [row[d] for row in self.action])
         for g in self.group.generators:
             broken = _first_boundary_break(self.boundary, self.action[g])
             if broken:

@@ -232,7 +232,7 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
             raise DocumentError(f"{path}: expected an object")
         h_value = _need(item, "H", path)
         if isinstance(h_value, list):
-            elems = _elements(group, h_value, _loc(path, "H"))
+            elems, cls = _elements(group, h_value, _loc(path, "H")), None
         else:
             cls = _int_field(item, "H", path)
             if not 0 <= cls < len(classes):
@@ -243,8 +243,11 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
         if not 1 <= m <= m_max:
             raise DocumentError(f"{_loc(path, 'm')}: must lie in 1..m_max={m_max}")
         value = _int_field(item, "value", path)
+        # a class id reads its pair table; canonical_pair reads element lists
+        # and reports a g that does not normalize H
         try:
-            h_class, alpha = canonical_pair(group, elems, g)
+            alpha = None if cls is None else group.pair_table[cls].get(group.coset_min(elems, g))
+            h_class, alpha = canonical_pair(group, elems, g) if alpha is None else (cls, alpha)
         except EqzetaError as exc:
             raise _wrap(path, exc) from None
         key = (h_class, m, alpha)

@@ -15,16 +15,17 @@ operation builds a model: products read single rows (``zg``), and tables
 read the fixed cosets of G/H.
 
 Lefschetz data depend only on the class of a G-permutation, so
-``lefschetz_table`` predicts them from ``classify``: each basis column is
-read from the fixed cosets of G/H and their normalizer orbits (marks after
-Pfeiffer, Experimental Math. 6, 1997; coset model after tom Dieck, LNM 766,
-1979), without building the coset model.  The point-by-point tabulation
-lives on in the test suite as the oracle for this route.
+``lefschetz_table`` predicts them from ``classify``: the fixed cosets of G/H
+and their normalizer orbits (marks after Pfeiffer, Experimental Math. 6,
+1997; coset model after tom Dieck, LNM 766, 1979) are profiled once per
+class and call, and each basis column picks its cosets from that profile.
+The point-by-point tabulation is the test suite's oracle for this route.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -55,9 +56,7 @@ class GPermutation:
             raise ActionError(f"sigma has {len(self.sigma)} entries, expected {self.n}")
         self.act = GSet(group, self.n, act, validate=validate).act
         if validate:
-            if sorted(self.sigma) != list(range(self.n)):
-                raise ActionError("sigma is not a bijection")
-            self._check_commutation()
+            self._check_sigma()
 
     @classmethod
     def from_generator_images(
@@ -69,9 +68,16 @@ class GPermutation:
     ) -> "GPermutation":
         if not group.generators and len(sigma) != n:  # no image array bounds n here
             raise ActionError(f"sigma has {len(sigma)} entries, expected {n}")
-        return cls(group, n, extend_action(group, n, images), sigma)
+        act, homomorphic = extend_action(group, n, images)
+        p = cls(group, n, [()] * group.order, sigma, validate=False)  # checks sigma's length
+        # extend_action checked the rows; only a broken edge needs GSet, to report it
+        p.act = act if homomorphic else GSet(group, p.n, act).act
+        p._check_sigma()
+        return p
 
-    def _check_commutation(self) -> None:
+    def _check_sigma(self) -> None:
+        if sorted(self.sigma) != list(range(self.n)):
+            raise ActionError("sigma is not a bijection")
         # generators suffice: the action table is already a homomorphism
         for g in self.group.generators:
             row = self.act[g]
@@ -264,9 +270,6 @@ class LefschetzTable:
     makes the system triangular; on abelian groups the entries agree with
     the coefficients of the honest fixed-point G-sets.
 
-    ``lefschetz_table`` and ``predicted_table`` fill the table from basis
-    columns read from the fixed cosets of G/H (see ``_column``).
-
     Only nonzero entries are stored: the constructor drops zero values, so
     equal tables have equal ``entries`` and ``get`` reads a missing key as 0.
     Keys use coset representatives (least element index in each coset);
@@ -327,57 +330,66 @@ def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
     return predicted_table(classify(p), m_max)
 
 
-def _column(group: FiniteGroup, t: TripleClass):
-    """(period, entries grouped by m) of the basis column of t = (H, m, a).
+def _coset_profile(group: FiniteGroup, h_class: int) -> list:
+    """Per element x, the (k, r, orbits) that the cosets a^q H = xH give
+    every basis column over H = classes[h_class].
 
-    A point (k, cH) of realize(t) is fixed by K when K cH = cH, that is when
-    c^-1 K c lies in H, and N(K) moves only its coset.  sigma^j moves its
-    level unless m | j, and for j = q*m the element r fixes
-    sigma^j(k, cH) = (k, c a^-q H) exactly when c^-1 r c a^-q lies in H.  So
-    the entry at (K, q*m, r) is m times the number of N(K)-orbits of K-fixed
-    cosets holding such a cH, read from G/H for q = 1 .. d/m with
-    d = ``triple_z_period``; no model is built.
+    A point (k, cH) of realize(t) is fixed by K when c^-1 K c lies in H, and
+    N(K) moves only its coset; ``orbits`` counts the N(K)-orbits of K-fixed
+    cosets holding a cH with c^-1 r c in xH.  Only classes with |K| dividing
+    |H| and nonzero counts appear; the lists are shared within each coset.
     """
-    h, m, a = triple_rep(group, t)
-    d = triple_z_period(group, t)
+    h = group.subgroup_classes.classes[h_class].elements
     elem2coset, reps = group.left_cosets(h)
-    # c^-1 r c a^-q lies in H when c^-1 r c lies in the coset a^q H
-    targets = [elem2coset[group.power(a, q)] for q in range(1, d // m + 1)]
-    by_m: dict[int, list] = {}
+    per_coset: list[list] = [[] for _ in reps]
     classes = group.subgroup_classes
     for k, (rep, norm) in enumerate(zip(classes.classes, classes.normalizers)):
         if len(h) % rep.order:
             continue  # no conjugate of K lies in H
-        fixed = [
-            c for i, c in enumerate(reps)
-            if all(elem2coset[group.mul(x, c)] == i for x in rep.elements)
-        ]
         orbits, seen = [], set()  # each orbit as the c^-1 of its cosets cH
-        for c in fixed:
-            if elem2coset[c] not in seen:
+        for i, c in enumerate(reps):  # N(K) keeps K-fixed cosets K-fixed
+            if i not in seen and all(elem2coset[group.mul(x, c)] == i for x in rep.elements):
                 orbit = {elem2coset[group.mul(n, c)] for n in norm}
                 seen |= orbit
-                orbits.append([group.inv(reps[i]) for i in orbit])
+                orbits.append([group.inv(reps[j]) for j in orbit])
         for r in group.pair_table[k]:
-            # per orbit: the cosets of H met by c^-1 r c
-            met = [{elem2coset[group.conj(ic, r)] for ic in orbit} for orbit in orbits]
-            for q, target in enumerate(targets, start=1):
-                count = sum(target in cosets for cosets in met)
-                if count:
-                    by_m.setdefault(q * m, []).append((k, r, m * count))
+            # each orbit counts once at every coset of H that its c^-1 r c meet
+            met = Counter(
+                j for orbit in orbits for j in {elem2coset[group.conj(ic, r)] for ic in orbit}
+            )
+            for j, count in met.items():
+                per_coset[j].append((k, r, count))
+    return [per_coset[j] for j in elem2coset]
+
+
+def _column(group: FiniteGroup, t: TripleClass, profile: list):
+    """(period, entries grouped by m) of the basis column of t = (H, m, a).
+
+    r fixes sigma^(q*m)(k, cH) = (k, c a^-q H) when c^-1 r c lies in a^q H, so
+    the entry at (K, q*m, r) is m times the count in ``profile[a^q]``, for
+    q = 1 .. d/m with d = ``triple_z_period``; other powers move every level.
+    """
+    m, d = t.m, triple_z_period(group, t)
+    by_m = {
+        q * m: [(k, r, m * count) for k, r, count in entries]
+        for q in range(1, d // m + 1) if (entries := profile[group.power(t.alpha, q)])
+    }
     anchor = sum(v for k, r, v in by_m.get(m, ()) if (k, r) == (t.h_class, t.alpha))
     if anchor != m:
         raise AssertionError("basis column diagonal is off; this is a bug")
     return d, by_m
 
 
-def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int):
+def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int, profiles: dict):
     """The entries (h, m, a, v) of the basis column of t at levels up to m_max.
 
-    Only multiples of t.m are visited: a point of realize(t) is fixed by
-    b∘sigma^m only when t.m divides m.
+    ``profiles`` (class id -> ``_coset_profile``) lives for one table or
+    solve.  Only multiples of t.m are visited: a point of realize(t) is fixed
+    by b∘sigma^m only when t.m divides m.
     """
-    d, by_m = _column(group, t)
+    if t.h_class not in profiles:
+        profiles[t.h_class] = _coset_profile(group, t.h_class)
+    d, by_m = _column(group, t, profiles[t.h_class])
     for m in range(t.m, m_max + 1, t.m):
         for h, a, v in by_m.get((m - 1) % d + 1, ()):
             yield h, m, a, v
@@ -387,7 +399,8 @@ def predicted_table(z: ZGRingElement, m_max: int) -> LefschetzTable:
     """The Lefschetz table a virtual element would produce."""
     group = z.group
     entries: dict = {}
+    profiles: dict = {}
     for t, k in z.coeffs.items():
-        for h, m, a, v in _column_entries(group, t, m_max):
+        for h, m, a, v in _column_entries(group, t, m_max, profiles):
             entries[(h, m, a)] = entries.get((h, m, a), 0) + k * v
     return LefschetzTable(group, m_max, entries)

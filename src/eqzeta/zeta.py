@@ -6,8 +6,8 @@ triangular: the table column of one transitive class is supported on that
 class's own anchor entry (value m) plus entries whose named subgroup is
 conjugate into a strictly larger one, so walking candidate triples by
 increasing index m*[G:H] and subtracting basis columns solves it with
-exact integer arithmetic.  Each column is read from the fixed cosets of G/H
-(``gperm.predicted_table``, re-exported here); no coset model is built.
+exact integer arithmetic.  Columns come from ``gperm`` (which owns
+``predicted_table``, re-exported here), one coset profile per class per solve.
 The walk visits only nonzero residual entries: a heap ordered by (index,
 triple) holds the entries at canonical pairs, and each column subtraction
 pushes the entries it touches, so the work follows the nonzeros of the
@@ -53,6 +53,7 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
     for key in residual:
         push(key)
     coeffs: dict[TripleClass, int] = {}
+    profiles: dict = {}
     while heap:
         t = heapq.heappop(heap)[1]
         value = residual[(t.h_class, t.m, t.alpha)]
@@ -65,7 +66,7 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
                 f"a={group.labels[t.alpha]}) leaves remainder {rem} of {t.m}"
             )
         coeffs[t] = k
-        for h, m, a, v in _column_entries(group, t, m_max):
+        for h, m, a, v in _column_entries(group, t, m_max, profiles):
             key = (h, m, a)
             if key not in residual:
                 residual[key] = 0

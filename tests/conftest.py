@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import eqzeta as eq
 from eqzeta.burnside import permutation_orbits, sigma_powers
 from eqzeta.gperm import GPermutation, LefschetzTable, classify, realize
-from eqzeta.zg import TripleClass, canonical_triple, triple_rep
+from eqzeta.zg import TripleClass, canonical_triple, triple_rep, triple_z_period
 
 # child interpreters started by the CLI tests import eqzeta from src as well
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -162,3 +162,42 @@ def random_gperm(group, rng: random.Random, max_points: int = 24) -> GPermutatio
     tau = list(range(p.n))
     rng.shuffle(tau)
     return p.relabel(tau)
+
+
+def oracle_column(group, t):
+    """Oracle for ``gperm._column``: the fixed-coset column of one triple,
+    with every per-H step (fixed cosets, normalizer orbits, cosets met)
+    repeated for this triple.
+
+    The entry at (K, q*m, r) is m times the number of N(K)-orbits of
+    K-fixed cosets cH holding one with c^-1 r c a^-q in H, for
+    q = 1 .. d/m with d = ``triple_z_period``.
+    """
+    h, m, a = triple_rep(group, t)
+    d = triple_z_period(group, t)
+    elem2coset, reps = group.left_cosets(h)
+    # c^-1 r c a^-q lies in H when c^-1 r c lies in the coset a^q H
+    targets = [elem2coset[group.power(a, q)] for q in range(1, d // m + 1)]
+    by_m = {}
+    classes = group.subgroup_classes
+    for k, (rep, norm) in enumerate(zip(classes.classes, classes.normalizers)):
+        if len(h) % rep.order:
+            continue  # no conjugate of K lies in H
+        fixed = [
+            c for i, c in enumerate(reps)
+            if all(elem2coset[group.mul(x, c)] == i for x in rep.elements)
+        ]
+        orbits, seen = [], set()  # each orbit as the c^-1 of its cosets cH
+        for c in fixed:
+            if elem2coset[c] not in seen:
+                orbit = {elem2coset[group.mul(n, c)] for n in norm}
+                seen |= orbit
+                orbits.append([group.inv(reps[i]) for i in orbit])
+        for r in group.pair_table[k]:
+            # per orbit: the cosets of H met by c^-1 r c
+            met = [{elem2coset[group.conj(ic, r)] for ic in orbit} for orbit in orbits]
+            for q, target in enumerate(targets, start=1):
+                count = sum(target in cosets for cosets in met)
+                if count:
+                    by_m.setdefault(q * m, []).append((k, r, m * count))
+    return d, by_m

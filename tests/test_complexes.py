@@ -10,11 +10,14 @@ from eqzeta.complexes import (
     check_joint_regularity,
     pair_lefschetz_table,
 )
-from eqzeta.errors import ActionError, RegularityError
+from eqzeta.burnside import extend_action
+from eqzeta.errors import ActionError, EqzetaError, RegularityError
+from eqzeta.gperm import realize
 from eqzeta.zeta import zeta_from_lefschetz
 from eqzeta.zg import ZGRingElement, canonical_triple
 
 import corpus
+from conftest import capped_perm_group, perm_group_cases, random_gperm
 
 
 def test_single_fixed_vertex_chi():
@@ -204,3 +207,38 @@ def test_boundary_check_on_generators_matches_all_elements(i, data):
         respected = False
     perturbed = GComplex(k.group, k.cells, boundary, k.action, validate=False)
     assert respected == oracle_boundary_respected(perturbed)
+
+
+def _complex_outcome(build):
+    try:
+        k = build()
+    except EqzetaError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", (k.cells, k.boundary, k.action)
+
+
+def _old_complex_route(group, cells, boundary, images):
+    """``from_generator_images`` as it was: the tables, then the full check."""
+    tables = [extend_action(group, c, [per_gen[d] for per_gen in images])[0]
+              for d, c in enumerate(cells)]
+    return GComplex(group, cells, boundary, [[t[g] for t in tables] for g in range(group.order)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_group_cases(4).filter(lambda case: case[0] >= 3), st.randoms(use_true_random=False),
+       st.data())
+def test_complex_generator_images_check_matches_the_old_route(case, rng, data):
+    """Vertices X and one edge on each vertex, with the same action in both
+    dimensions; one image changed may break a relation or the boundary."""
+    group = capped_perm_group(*case)
+    regular = realize(group, canonical_triple(group, [group.identity], 1, group.identity))
+    x = random_gperm(group, rng, max_points=8).disjoint_union(regular)
+    n = x.n
+    cells, boundary = [n, n], [[()] * n, [(i,) for i in range(n)]]
+    images = [[list(x.act[s]), list(x.act[s])] for s in group.generators]
+    if images and data.draw(st.booleans()):
+        i, d = data.draw(st.integers(0, len(images) - 1)), data.draw(st.integers(0, 1))
+        images[i][d] = data.draw(st.permutations(range(n)))
+    new = _complex_outcome(lambda: GComplex.from_generator_images(group, cells, boundary, images))
+    old = _complex_outcome(lambda: _old_complex_route(group, cells, boundary, images))
+    assert new == old

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqzeta as eq
-from eqzeta.burnside import permutation_orbits, sigma_powers
-from eqzeta.documents import parse_document_file
-from eqzeta.errors import ActionError
+from eqzeta import gperm
+from eqzeta.burnside import extend_action, permutation_orbits, sigma_powers
+from eqzeta.documents import parse_document, parse_document_file
+from eqzeta.errors import ActionError, EqzetaError
 from eqzeta.gperm import (
     GPermutation,
     classify,
@@ -26,6 +28,7 @@ from conftest import (
     capped_perm_group,
     empty_gperm,
     lefschetz_table_direct,
+    oracle_column,
     perm_group_cases,
     random_gperm,
     realize_direct,
@@ -379,3 +382,122 @@ def test_cycle_rotation_matches_the_sigma_powers_walk():
         assert p.power(far).sigma == walk[far % period]
         cycles = permutation_orbits([p.sigma], range(p.n))
         assert p.sigma_cycle_lengths() == sorted(len(c) for c in cycles)
+
+
+def _same_column(group, t):
+    d, by_m = gperm._column(group, t, gperm._coset_profile(group, t.h_class))
+    d_oracle, by_m_oracle = oracle_column(group, t)
+    assert d == d_oracle, (group, t)
+    assert by_m.keys() == by_m_oracle.keys(), (group, t)
+    for m, entries in by_m.items():
+        assert sorted(entries) == sorted(by_m_oracle[m]), (group, t, m)
+
+
+def test_profile_columns_match_the_per_triple_oracle(suite_groups):
+    for _, group in suite_groups:
+        for t in canonical_triples(group, 3):
+            _same_column(group, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_group_cases(4))
+def test_profile_columns_match_the_per_triple_oracle_on_random_groups(case):
+    group = capped_perm_group(*case)
+    for t in canonical_triples(group, 3):
+        _same_column(group, t)
+
+
+def _count_profiles(monkeypatch):
+    calls = []
+    original = gperm._coset_profile
+
+    def counted(group, h_class):
+        calls.append(h_class)
+        return original(group, h_class)
+
+    monkeypatch.setattr(gperm, "_coset_profile", counted)
+    return calls
+
+
+def test_table_and_solver_read_one_profile_per_class(monkeypatch):
+    group = eq.symmetric(4)
+    z = ZGRingElement(group, {t: 1 for t in canonical_triples(group, 3)})
+    assert len({t.h_class for t in z.coeffs}) < len(z.coeffs)
+    calls = _count_profiles(monkeypatch)
+    table = predicted_table(z, 12)
+    assert calls and len(calls) == len(set(calls))
+    calls.clear()
+    assert zeta_from_lefschetz(table) == z
+    assert calls and len(calls) == len(set(calls))
+
+
+def _lefschetz_doc(h):
+    return json.dumps({
+        "kind": "lefschetz", "group": {"type": "symmetric", "n": 3}, "m_max": 1,
+        "entries": [{"H": h, "g": 3, "m": 1, "value": 1}],
+    })
+
+
+def test_class_id_entry_with_a_non_normalizing_g_is_rejected():
+    s3 = eq.symmetric(3)
+    k = next(i for i, rep in enumerate(s3.subgroup_classes.classes) if rep.order == 2)
+    rep = s3.subgroup_classes.classes[k].elements
+    assert 3 not in s3.normalizer(rep)
+    expected = f"entries[0]: element 3 does not normalize the subgroup {rep}"
+    for h in (k, list(rep)):  # the class id and the element list give one message
+        with pytest.raises(eq.DocumentError) as info:
+            parse_document(_lefschetz_doc(h))
+        assert str(info.value) == expected
+
+
+def _gperm_outcome(build):
+    try:
+        p = build()
+    except EqzetaError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", (p.act, p.sigma)
+
+
+def _old_gperm_route(group, n, images, sigma):
+    """``from_generator_images`` as it was: the table, then the full check."""
+    if not group.generators and len(sigma) != n:
+        raise ActionError(f"sigma has {len(sigma)} entries, expected {n}")
+    return GPermutation(group, n, extend_action(group, n, images)[0], sigma)
+
+
+@settings(max_examples=120, deadline=None)
+@given(perm_group_cases(4).filter(lambda case: case[0] >= 3), st.randoms(use_true_random=False),
+       st.data())
+def test_generator_images_check_matches_the_old_route(case, rng, data):
+    group = capped_perm_group(*case)
+    regular = realize(group, canonical_triple(group, [group.identity], 1, group.identity))
+    p = random_gperm(group, rng, max_points=12).disjoint_union(regular)
+    images = [list(p.act[s]) for s in group.generators]
+    sigma = list(p.sigma)
+    change = data.draw(st.sampled_from(["image", "image and sigma length", "sigma", "none"]))
+    if images and change.startswith("image"):  # may break a relation
+        images[data.draw(st.integers(0, len(images) - 1))] = data.draw(st.permutations(range(p.n)))
+    if change == "image and sigma length":
+        sigma = sigma[:-1]
+    elif change == "sigma":  # may break commutation
+        sigma = data.draw(st.permutations(sigma))
+    new = _gperm_outcome(lambda: GPermutation.from_generator_images(group, p.n, images, sigma))
+    assert new == _gperm_outcome(lambda: _old_gperm_route(group, p.n, images, sigma))
+
+
+def test_repeated_and_identity_generators_keep_their_first_rows():
+    table = [[0, 1], [1, 0]]  # C2; generator 1 listed twice, the identity once
+    group = eq.FiniteGroup(table, generators=[1, 0, 1])
+    swap, fixed = [1, 0], [0, 1]
+    for images in ([swap, fixed, swap], [swap, swap, swap], [swap, fixed, fixed]):
+        new = _gperm_outcome(lambda: GPermutation.from_generator_images(group, 2, images, [0, 1]))
+        assert new == _gperm_outcome(lambda: _old_gperm_route(group, 2, images, [0, 1]))
+
+
+def test_document_reports_sigma_length_before_a_broken_relation():
+    # the generator of C3 acting by a transposition breaks g^3 = e
+    doc = {"kind": "gperm", "group": {"type": "cyclic", "n": 3}, "points": 2, "action": [[1, 0]]}
+    with pytest.raises(eq.DocumentError, match=r"^gperm: sigma has 1 entries, expected 2$"):
+        parse_document(json.dumps({**doc, "sigma": [0]}))
+    with pytest.raises(eq.DocumentError, match=r"^gperm: action is not a homomorphism at elements"):
+        parse_document(json.dumps({**doc, "sigma": [0, 1]}))
