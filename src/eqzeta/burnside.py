@@ -117,7 +117,9 @@ def extend_action(
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """Extend generator images to a full per-element action table, and say
     whether it passes the edge check of ``GSet``: each row is built along a
-    tree edge act[g*s] = act[g]∘act[s], and every other edge is compared."""
+    tree edge act[g*s] = act[g]∘act[s], and every other edge is compared.
+    An image given for the identity or for a repeated generator builds no
+    row, so each image is then compared with its generator's row."""
     if len(images) != len(group.generators):
         raise ActionError(
             f"{len(images)} generator images given, group has {len(group.generators)} generators"
@@ -146,6 +148,16 @@ def extend_action(
         frontier = nxt
     if len(act) != group.order:
         raise ActionError("the listed generators do not generate the group")
+    for i, (s, ps) in enumerate(zip(group.generators, gen_perms)):
+        if act[s] != ps:
+            if s == group.identity:
+                raise ActionError(
+                    f"generator {i} is the identity element, but its image is not trivial"
+                )
+            j = group.generators.index(s)
+            raise ActionError(
+                f"image of generator {i} differs from that of generator {j}, the same element"
+            )
     return tuple(act[g] for g in range(group.order)), homomorphic
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GroupError
 
@@ -51,18 +51,52 @@ class SubgroupClassTable:
     lexicographically least sorted element set within its class, so class ids
     are stable across runs.  ``class_sizes[k]`` is the size of the conjugate
     orbit of ``classes[k]`` and ``normalizers[k]`` its sorted normalizer.
-    ``subconjugacy[i][j]`` is true when some conjugate of ``classes[i]`` is
-    contained in ``classes[j]``, that is when the mark of ``classes[i]`` on
-    G/``classes[j]`` is positive.
+
+    The table also holds every subgroup with its class id and conjugator, from
+    which the table of marks is counted on first read.  ``subconjugacy[i][j]``
+    is derived from the marks then: it is true when some conjugate of
+    ``classes[i]`` is contained in ``classes[j]``, that is when the mark of
+    ``classes[i]`` on G/``classes[j]`` is positive.  Neither takes part in
+    equality or repr.
     """
 
     classes: tuple[Subgroup, ...]
     class_sizes: tuple[int, ...]
-    subconjugacy: tuple[tuple[bool, ...], ...]
     normalizers: tuple[tuple[int, ...], ...]
+    # every subgroup -> (class id, c) with subgroup = c classes[k] c^-1
+    _conjugator: Mapping[tuple[int, ...], tuple[int, int]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def _marks(self) -> TableOfMarks:
+        n = len(self.classes)
+        containing = [0] * len(self.normalizers[-1])  # the last class is G
+        class_of = []  # bit i -> class id of subgroup i
+        for i, (h, (k, _)) in enumerate(self._conjugator.items()):
+            class_of.append(k)
+            bit = 1 << i
+            for x in h:
+                containing[x] |= bit
+        index = [len(norm) // rep.order for norm, rep in zip(self.normalizers, self.classes)]
+        rows = [[0] * n for _ in range(n)]
+        for h, rep in enumerate(self.classes):
+            sup = -1
+            for x in rep.elements:
+                sup &= containing[x]
+            while sup:  # one step per subgroup containing H
+                low = sup & -sup
+                k = class_of[low.bit_length() - 1]
+                rows[k][h] += index[k]
+                sup ^= low
+        for k, row in enumerate(rows):  # each list is freed as its tuple is made
+            rows[k] = tuple(row)
+        return TableOfMarks(tuple(rows))
+
+    @cached_property
+    def subconjugacy(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(tuple(v > 0 for v in column) for column in zip(*self._marks.matrix))
 
 
 @dataclass(frozen=True)
@@ -74,19 +108,16 @@ class TableOfMarks:
     exactly when H is contained in the conjugate aKa^-1, and each conjugate
     arises from |N(K)| elements a, so with orbit(K) the conjugates of K::
 
-        matrix[k][h] = |G| / (|K| * |orbit(K)|) * #{K' in orbit(K) : H <= K'}
+        matrix[k][h] = [N(K):K] * #{K' in orbit(K) : H <= K'}
 
-    (Pfeiffer 1997).  Lower triangular in the canonical class order, with
-    positive diagonal [N(K):K] and first column [G:K].
+    (Pfeiffer 1997).  The count runs on bitmasks over all subgroups: the
+    AND over x in H of the mask of subgroups containing x is sup(H), with
+    one bit per subgroup K' >= H, and each such bit adds [N(K):K] to
+    matrix[k][h] for the class k of K'.  Lower triangular in the canonical
+    class order, with positive diagonal [N(K):K] and first column [G:K].
     """
 
     matrix: tuple[tuple[int, ...], ...]
-
-
-class _Lattice(NamedTuple):
-    classes: SubgroupClassTable
-    marks: TableOfMarks
-    conjugator: dict[tuple[int, ...], tuple[int, int]]  # subgroup -> (class id, c)
 
 
 def _check_order(order: int, order_bound: int) -> None:
@@ -268,15 +299,16 @@ class FiniteGroup:
 
         From the trivial subgroup on, each representative V is joined with
         one generator z of each zuppo, closing the generators V was found
-        with plus z.  A new join is conjugated by all of G once, every
-        conjugate is registered, and its least conjugate is queued with the
-        generators conjugated along.  As ⟨V, zv⟩ = ⟨V, z⟩ for v in V, the
-        join with z covers the coset zV, and zuppos in covered cosets are
-        skipped.  Complete: a subgroup H > 1 is generated by its zuppos, so
-        one of them, Z, lies outside a maximal subgroup V of H and
-        ⟨V, Z⟩ = H; by induction V = cV0c^-1 with V0 queued, and the join of
-        V0 with c^-1Zc is c^-1Hc.  All zuppos are joined, not only those
-        normalizing V, so perfect subgroups such as A5 need no special case.
+        with plus z.  A new join is conjugated once per coset of its
+        normalizer, every conjugate is registered, and its least conjugate
+        is queued with the generators conjugated along.  As
+        ⟨V, zv⟩ = ⟨V, z⟩ for v in V, the join with z covers the coset zV,
+        and zuppos in covered cosets are skipped.  Complete: a subgroup
+        H > 1 is generated by its zuppos, so one of them, Z, lies outside a
+        maximal subgroup V of H and ⟨V, Z⟩ = H; by induction V = cV0c^-1
+        with V0 queued, and the join of V0 with c^-1Zc is c^-1Hc.  All
+        zuppos are joined, not only those normalizing V, so perfect
+        subgroups such as A5 need no special case.
         """
         return tuple(sorted(self._discovery[0], key=lambda t: (len(t), t)))
 
@@ -285,8 +317,17 @@ class FiniteGroup:
         """(registry, normalizers): each subgroup H -> (K, c) with K its least
         conjugate and c the greatest element with H = cKc^-1, and each
         K -> N(K).  Only a new class grows the queue, so there is one pass
-        per class.  ``_lattice`` turns the registry into its conjugator dict
-        in place."""
+        per class.  ``subgroup_classes`` turns the registry into its
+        conjugator dict in place.
+
+        A new join k, closed from ``gens``, first gets its normalizer: the b
+        with b g b^-1 in k for each g in ``gens``, |G|·|gens| lookups.  The
+        conjugate b k b^-1 depends only on the left coset bN(k), so the scan
+        over b in increasing order conjugates once per coset, at its least
+        element: |G|/|N(k)| conjugations.  The least conjugate is the
+        representative, and a0, the least b mapping k to it, starts its
+        coset.  Then b' rep b'^-1 = b k b^-1 exactly for b' in bN(k)a0^-1,
+        and N(rep) = a0 N(k) a0^-1."""
         zuppos = {}
         for g in range(self.order):
             cyc = self.closure((g,))
@@ -295,16 +336,26 @@ class FiniteGroup:
         registry: dict[tuple[int, ...], tuple] = {}
         normalizers: dict[tuple[int, ...], tuple[int, ...]] = {}
         queue: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (rep, its generators)
+        mul, inv = self._mul, self._inv
 
         def register(k: tuple[int, ...], gens: tuple[int, ...]) -> None:
-            conjugates = [self.conjugate_subgroup(a, k) for a in range(self.order)]
-            rep = min(conjugates)
-            a0 = conjugates.index(rep)
-            # b rep b^-1 = (b a0) k (b a0)^-1
-            orbit = [conjugates[row[a0]] for row in self._mul]
-            for h, c in dict(zip(orbit, range(self.order))).items():
-                registry[h] = (rep, c)
-            normalizers[rep] = tuple(b for b, h in enumerate(orbit) if h == rep)
+            k_set = set(k)
+            norm = range(self.order)
+            for g in gens:
+                norm = [b for b in norm if mul[mul[b][g]][inv[b]] in k_set]
+            least = {}  # conjugate -> least element of the coset bN(k) giving it
+            seen: set[int] = set()
+            for b in range(self.order):
+                if b not in seen:
+                    seen.update(map(mul[b].__getitem__, norm))
+                    least[self.conjugate_subgroup(b, k)] = b
+            rep = min(least)
+            a0 = least[rep]
+            ia0 = inv[a0]
+            tail = [mul[n][ia0] for n in norm]  # N(k) a0^-1
+            for h, b in least.items():
+                registry[h] = (rep, max(map(mul[b].__getitem__, tail)))
+            normalizers[rep] = tuple(sorted(mul[a0][x] for x in tail))
             queue.append((rep, tuple(self.conj(a0, g) for g in gens)))
 
         register((self.identity,), ())
@@ -320,49 +371,30 @@ class FiniteGroup:
         return registry, normalizers
 
     @cached_property
-    def _lattice(self) -> _Lattice:
-        """Classes, marks, conjugators and normalizers from the discovery
-        behind ``all_subgroups`` (zuppo extension of class representatives).
+    def subgroup_classes(self) -> SubgroupClassTable:
+        """Classes, conjugators and normalizers from the discovery behind
+        ``all_subgroups`` (zuppo extension of class representatives).
 
         The representatives are the least members of their classes, so read
         from ``all_subgroups`` (sorted by (order, elements)) they come out
-        in class order.  The marks count containments in the conjugates
-        (see ``TableOfMarks``); subconjugacy is where the marks are positive.
+        in class order.  The marks are left to their first read.
         """
         subgroups = self.all_subgroups  # runs the discovery
         conjugator, normalizer_of = self._discovery
         reps = [h for h in subgroups if h in normalizer_of]
         class_id = {h: k for k, h in enumerate(reps)}
-        orbits: dict[tuple[int, ...], list[frozenset[int]]] = {h: [] for h in reps}
         for h, (rep, c) in conjugator.items():
             conjugator[h] = (class_id[rep], c)
-            orbits[rep].append(frozenset(h))
-        rep_sets = [frozenset(h) for h in reps]
-        matrix = []
-        for k in reps:
-            conjugates = orbits[k]
-            index_in_normalizer = self.order // (len(k) * len(conjugates))
-            matrix.append(tuple(
-                0 if len(k) % len(h) else
-                index_in_normalizer * sum(h_set <= c for c in conjugates)
-                for h, h_set in zip(reps, rep_sets)
-            ))
-        n = len(reps)
-        classes = SubgroupClassTable(
+        return SubgroupClassTable(
             classes=tuple(Subgroup(r) for r in reps),
-            class_sizes=tuple(len(orbits[r]) for r in reps),
-            subconjugacy=tuple(tuple(matrix[k][h] > 0 for k in range(n)) for h in range(n)),
+            class_sizes=tuple(self.order // len(normalizer_of[r]) for r in reps),
             normalizers=tuple(normalizer_of[r] for r in reps),
+            _conjugator=conjugator,
         )
-        return _Lattice(classes, TableOfMarks(tuple(matrix)), conjugator)
-
-    @cached_property
-    def subgroup_classes(self) -> SubgroupClassTable:
-        return self._lattice.classes
 
     @cached_property
     def table_of_marks(self) -> TableOfMarks:
-        return self._lattice.marks
+        return self.subgroup_classes._marks
 
     def class_of_subgroup(self, elems: Iterable[int]) -> int:
         """Class id of a subgroup (canonicalized by conjugation)."""
@@ -372,7 +404,7 @@ class FiniteGroup:
         """(k, c) for a subgroup H: its class id k and an element c with
         H = c K c^-1, K the representative of class k."""
         t = tuple(sorted(elems))
-        found = self._lattice.conjugator.get(t)
+        found = self.subgroup_classes._conjugator.get(t)
         if found is None:
             raise GroupError(f"{t} is not a subgroup")
         return found
@@ -381,7 +413,7 @@ class FiniteGroup:
         """{a in G : a H a^-1 = H}, read as c N(K) c^-1 for H = c K c^-1 with
         K its class representative; repeated elements are ignored."""
         t = tuple(sorted(elems))
-        found = self._lattice.conjugator.get(tuple(sorted(set(t))))
+        found = self.subgroup_classes._conjugator.get(tuple(sorted(set(t))))
         if found is None:
             raise GroupError(f"{t} is not a subgroup")
         k, c = found

@@ -7,6 +7,7 @@ import pytest
 
 from eqzeta.cli import run_command
 from eqzeta.documents import parse_document, parse_document_file
+from eqzeta.errors import DocumentError
 from test_groups import oracle_normalizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -427,3 +428,36 @@ def test_commands_in_one_process_match_fresh_processes(capsys):
             [sys.executable, "-m", "eqzeta", *argv], capture_output=True, text=True
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+_C2_WITH_IDENTITY = {"type": "perm-gens", "points": 2, "generators": [[0, 1], [1, 0]]}
+_C2_TWICE = {"type": "perm-gens", "points": 2, "generators": [[1, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "gperm", "group": _C2_WITH_IDENTITY, "points": 2,
+          "action": [[1, 0], [1, 0]], "sigma": [0, 1]},
+         "gperm: generator 0 is the identity element, but its image is not trivial"),
+        ({"kind": "gperm", "group": _C2_TWICE, "points": 2,
+          "action": [[1, 0], [0, 1]], "sigma": [0, 1]},
+         "gperm: image of generator 1 differs from that of generator 0, the same element"),
+        ({"kind": "complex", "group": _C2_WITH_IDENTITY, "cells": [2], "boundary": [[[], []]],
+          "action": [[[1, 0]], [[1, 0]]], "sigma": [[0, 1]]},
+         "complex: generator 0 is the identity element, but its image is not trivial"),
+        ({"kind": "complex", "group": _C2_TWICE, "cells": [2], "boundary": [[[], []]],
+          "action": [[[1, 0]], [[0, 1]]], "sigma": [[0, 1]]},
+         "complex: image of generator 1 differs from that of generator 0, the same element"),
+    ],
+    ids=["gperm_identity", "gperm_repeated", "complex_identity", "complex_repeated"],
+)
+def test_image_of_an_identity_or_repeated_generator_is_checked(capsys, tmp_path, doc, message):
+    with pytest.raises(DocumentError) as info:
+        parse_document(json.dumps(doc))
+    assert str(info.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = "classify" if doc["kind"] == "gperm" else "chi"
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")

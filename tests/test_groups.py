@@ -609,3 +609,41 @@ def test_each_join_extends_a_class_representative():
     del group.closure
     reps = {rep.elements for rep in group.subgroup_classes.classes}
     assert all(group.closure(seed[:-1]) in reps for seed in seeds)
+
+
+# -- what each derived table costs is paid only when it is read ----------------
+
+
+def test_classes_conjugators_normalizers_and_pairs_leave_the_marks_unread():
+    group = eq.product(eq.symmetric(4), eq.cyclic(2))
+    table = group.subgroup_classes
+    for rep in table.classes:
+        group.class_conjugator(rep.elements)
+        group.normalizer(rep.elements)
+    group.pair_table
+    assert "table_of_marks" not in group.__dict__
+    assert "_marks" not in table.__dict__ and "subconjugacy" not in table.__dict__
+    assert group.table_of_marks.matrix[0][0] == group.order
+
+
+def test_elementary_abelian_64_literature_counts():
+    # subspaces of F_2^6 by dimension: Gaussian binomials 1, 63, 651, 1395, 651, 63, 1;
+    # the classes alone, as `subgroups` reads them
+    group = eq.cyclic(2)
+    for _ in range(5):
+        group = eq.product(group, eq.cyclic(2))
+    table = group.subgroup_classes
+    assert len(table) == 2825
+    assert Counter(rep.order for rep in table.classes) == {
+        1: 1, 2: 63, 4: 651, 8: 1395, 16: 651, 32: 63, 64: 1
+    }
+    assert set(table.class_sizes) == {1}
+    assert "table_of_marks" not in group.__dict__
+
+
+def test_marks_and_subconjugacy_match_oracles_on_d4xd4():
+    group = eq.product(eq.dihedral(4), eq.dihedral(4))
+    reps = [rep.elements for rep in group.subgroup_classes.classes]
+    assert len(reps) == 214
+    assert group.table_of_marks.matrix == oracle_marks(group, reps)
+    assert group.subgroup_classes.subconjugacy == oracle_subconjugacy(group, reps)
