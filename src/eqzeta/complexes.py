@@ -10,11 +10,11 @@ automorphisms that commute with the action.
 from __future__ import annotations
 
 import math
-from typing import Container, Sequence
+from typing import Container, Iterable, Sequence
 
-from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits, sigma_powers
+from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
 from .errors import ActionError, EqzetaError, RegularityError
-from .gperm import GPermutation, LefschetzTable, classify, lefschetz_table
+from .gperm import GPermutation, LefschetzTable, classify, predicted_table, table_m_max
 from .groups import FiniteGroup
 from .zg import ZGRingElement
 
@@ -148,32 +148,16 @@ class GComplex:
                     f"element {self.group.labels[g]} does not respect the "
                     f"boundary of cell ({broken[0]},{broken[1]})"
                 )
-        for g in range(self.group.order):
-            if g == self.group.identity:
-                continue
-            for d in range(dims):
-                perm = self.action[g][d]
-                for c in range(self.cells[d]):
-                    if perm[c] == c and not self._fixes_faces(g, d, c):
-                        raise RegularityError(
-                            f"element {self.group.labels[g]} maps cell ({d},{c}) to "
-                            "itself without fixing its faces"
-                        )
-
-    def _fixes_faces(self, g: int, d: int, c: int) -> bool:
-        stack = [(d, c)]
-        while stack:
-            dd, cc = stack.pop()
-            for f in self.boundary[dd][cc]:
-                if self.action[g][dd - 1][f] != f:
-                    return False
-                stack.append((dd - 1, f))
-        return True
+        others = (g for g in range(self.group.order) if g != self.group.identity)
+        if found := _first_irregular(self, [range(n) for n in self.cells], others):
+            g, d, c, _ = found
+            raise RegularityError(
+                f"element {self.group.labels[g]} maps cell ({d},{c}) to "
+                "itself without fixing its faces"
+            )
 
     def dim_gset(self, d: int) -> GSet:
-        return GSet(
-            self.group, self.cells[d], [row[d] for row in self.action], validate=False
-        )
+        return GSet(self.group, self.cells[d], [row[d] for row in self.action], validate=False)
 
     def chi_cellwise(self) -> BurnsideElement:
         """Alternating sum of the cell G-sets."""
@@ -213,8 +197,7 @@ class GCellularMap:
             self._validate()
 
     def _validate(self) -> None:
-        cx = self.complex
-        group = cx.group
+        cx, group = self.complex, self.complex.group
         for d, perm in enumerate(self.maps):
             if sorted(perm) != list(range(cx.cells[d])):
                 raise ActionError(f"map is not a bijection in dimension {d}")
@@ -236,47 +219,69 @@ class GCellularMap:
     def dim_gperm(self, d: int) -> GPermutation:
         cx = self.complex
         return GPermutation(
-            cx.group,
-            cx.cells[d],
-            [row[d] for row in cx.action],
-            self.maps[d],
-            validate=False,
+            cx.group, cx.cells[d], [row[d] for row in cx.action], self.maps[d], validate=False
         )
 
     def z_period(self) -> int:
-        return math.lcm(
-            *(self.dim_gperm(d).z_period() for d in range(len(self.complex.cells)))
-        ) if self.complex.cells else 1
+        return math.lcm(*(self.dim_gperm(d).z_period() for d in range(len(self.complex.cells))))
+
+
+def _first_irregular(k: GComplex, powers: Sequence[Sequence[int]], elements: Iterable[int]):
+    """The first (g, d, c, (d', face)), in g, d, c order, at which g∘f^m
+    maps the cell (d, c) to itself but moves a face below it, or None;
+    ``powers[d]`` is f^m on the d-cells."""
+    for g in elements:
+        act = k.action[g]
+        for d, (row, power) in enumerate(zip(act, powers)):
+            for c in range(k.cells[d]):
+                if row[power[c]] != c:
+                    continue
+                stack = [(d, c)]
+                while stack:
+                    dd, cc = stack.pop()
+                    for face in k.boundary[dd][cc]:
+                        if act[dd - 1][powers[dd - 1][face]] != face:
+                            return g, d, c, (dd - 1, face)
+                        stack.append((dd - 1, face))
+    return None
 
 
 def check_joint_regularity(k: GComplex, f: GCellularMap) -> None:
     """Whenever g∘f^m maps a cell to itself it must fix the cell's faces.
 
-    Checked for every g and every power up to the combined period; reports a
-    witness (element, power, cell) on failure.
+    The (Z x G)-stabilizer of a cell y is generated by {0} x H_y, regular as
+    k is, and one (j, a), j the first level with f^j(y) in G·y (tom Dieck,
+    LNM 766).  The elements fixing every face of y form a subgroup, so y
+    fails only if it fails at j, its least level: scanning these levels in
+    order finds the first failing power and its witness.  The walk to j
+    relies on f commuting with G, which ``GCellularMap`` checks.
     """
     group = k.group
-    dims = len(k.cells)
-    period = f.z_period()
-    per_dim = [sigma_powers(perm, period) for perm in f.maps]
-    for m, powers in enumerate(zip(*per_dim), start=1):
-        for g in range(group.order):
-            for d in range(dims):
-                row = k.action[g][d]
-                for c in range(k.cells[d]):
-                    if row[powers[d][c]] != c:
-                        continue
-                    # g∘f^m fixes the cell; its faces must be fixed too
-                    stack = [(d, c)]
-                    while stack:
-                        dd, cc = stack.pop()
-                        for face in k.boundary[dd][cc]:
-                            if k.action[g][dd - 1][powers[dd - 1][face]] != face:
-                                raise RegularityError(
-                                    f"g∘f^{m} with g={group.labels[g]} fixes cell "
-                                    f"({d},{c}) but moves its face ({dd - 1},{face})"
-                                )
-                            stack.append((dd - 1, face))
+    levels = set()
+    for d, perm in enumerate(f.maps):
+        rows = [perm] + [k.action[g][d] for g in group.generators]
+        for orbit in permutation_orbits(rows, range(k.cells[d])):
+            g_orbit = {row[d][orbit[0]] for row in k.action}
+            j, z = 1, perm[orbit[0]]
+            while z not in g_orbit:
+                j, z = j + 1, perm[z]
+            levels.add(j)
+    for m in sorted(levels):
+        powers = [f.dim_gperm(d).power(m).sigma for d in range(len(k.cells))]
+        if found := _first_irregular(k, powers, range(group.order)):
+            g, d, c, (dd, face) = found
+            raise RegularityError(
+                f"g∘f^{m} with g={group.labels[g]} fixes cell "
+                f"({d},{c}) but moves its face ({dd},{face})"
+            )
+
+
+def _alternating_classification(k: GComplex, f: GCellularMap) -> ZGRingElement:
+    out = ZGRingElement.zero(k.group)
+    for d in range(len(k.cells)):
+        term = classify(f.dim_gperm(d))
+        out = out + term if d % 2 == 0 else out - term
+    return out
 
 
 def brute_zeta(k: GComplex, f: GCellularMap) -> ZGRingElement:
@@ -289,24 +294,15 @@ def brute_zeta(k: GComplex, f: GCellularMap) -> ZGRingElement:
     if f.complex is not k:
         raise EqzetaError("map was built for a different complex")
     check_joint_regularity(k, f)
-    out = ZGRingElement.zero(k.group)
-    for d in range(len(k.cells)):
-        term = classify(f.dim_gperm(d))
-        out = out + term if d % 2 == 0 else out - term
-    return out
+    return _alternating_classification(k, f)
 
 
 def pair_lefschetz_table(k: GComplex, f: GCellularMap, m_max: int = 0) -> LefschetzTable:
-    """Alternating combination of the per-dimension Lefschetz tables."""
-    if m_max == 0:
-        m_max = f.z_period()
-    out = None
-    for d in range(len(k.cells)):
-        term = lefschetz_table(f.dim_gperm(d), m_max)
-        if out is None:
-            out = term
-        else:
-            out = out + term if d % 2 == 0 else out - term
-    if out is None:
+    """The table of the alternating classification, which is the
+    alternating sum of the per-dimension tables (``m_max=0``: the period)."""
+    if not k.cells:
         raise EqzetaError("complex has no cells")
-    return out
+    m_max = m_max or f.z_period()
+    for d in range(len(k.cells)):
+        table_m_max(f.dim_gperm(d), m_max)
+    return predicted_table(_alternating_classification(k, f), m_max)

@@ -320,14 +320,18 @@ def lefschetz_table(p: GPermutation, m_max: int = 0) -> LefschetzTable:
     cycle lengths), which always determines the class of p.  An explicit
     m_max must not truncate below that period.
     """
+    m_max = table_m_max(p, m_max)  # before classify does any work
+    return predicted_table(classify(p), m_max)
+
+
+def table_m_max(p: GPermutation, m_max: int) -> int:
+    """m_max, or the sigma period of p for 0; raises if it is below that period."""
     period = p.z_period()
-    if m_max == 0:
-        m_max = period
-    elif m_max < period:
+    if m_max and m_max < period:
         raise EqzetaError(
             f"m_max={m_max} is below the sigma period {period}; the table would lose data"
         )
-    return predicted_table(classify(p), m_max)
+    return m_max or period
 
 
 def _coset_profile(group: FiniteGroup, h_class: int) -> list:

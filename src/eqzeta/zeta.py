@@ -168,7 +168,7 @@ class StratumRecord:
         if self.m % self.n:
             raise StratumError(f"n={self.n} does not divide the multiplicity m={self.m}")
         h = tuple(sorted(self.subgroup))
-        if not group.is_subgroup(h):
+        if len(set(h)) != len(h) or not group.is_subgroup(h):  # is_subgroup ignores repeats
             raise StratumError(f"{h} is not a subgroup")
         if self.alpha not in group.normalizer(h):
             raise StratumError(f"alpha={self.alpha} does not normalize the kernel {h}")

@@ -134,6 +134,32 @@ def lefschetz_table_direct(p, m_max=0):
     return LefschetzTable(group, m_max, entries)
 
 
+def joint_regularity_scan(k, f):
+    """Oracle for ``complexes.check_joint_regularity``: every element g and
+    every power f^m up to the period of f, cell by cell, raising at the first
+    g∘f^m that maps a cell to itself but moves a face below it."""
+    group = k.group
+    period = f.z_period()
+    per_dim = [sigma_powers(perm, period) for perm in f.maps]
+    for m, powers in enumerate(zip(*per_dim), start=1):
+        for g in range(group.order):
+            for d in range(len(k.cells)):
+                row = k.action[g][d]
+                for c in range(k.cells[d]):
+                    if row[powers[d][c]] != c:
+                        continue
+                    stack = [(d, c)]
+                    while stack:
+                        dd, cc = stack.pop()
+                        for face in k.boundary[dd][cc]:
+                            if k.action[g][dd - 1][powers[dd - 1][face]] != face:
+                                raise eq.RegularityError(
+                                    f"g∘f^{m} with g={group.labels[g]} fixes cell "
+                                    f"({d},{c}) but moves its face ({dd - 1},{face})"
+                                )
+                            stack.append((dd - 1, face))
+
+
 def empty_gperm(group):
     return GPermutation(group, 0, [() for _ in range(group.order)], (), validate=False)
 

@@ -237,6 +237,29 @@ def test_bad_strata_names_the_stratum(capsys):
     assert "strata[0]" in err and "divide" in err
 
 
+def test_stratum_with_a_repeated_kernel_element_names_the_stratum(capsys, tmp_path):
+    path = tmp_path / "strata.json"
+    path.write_text(json.dumps({
+        "kind": "strata", "group": {"type": "cyclic", "n": 2},
+        "strata": [{"chi": 1, "m": 2, "n": 2, "H": [0, 0], "alpha": 1}],
+    }))
+    code, out, err = run(capsys, "acampo", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: strata[0]: (0, 0) is not a subgroup\n"
+
+
+def test_zeta_of_a_map_with_a_long_period(capsys):
+    """129 vertices whose map has cycles of the primes 2 .. 29, so its period
+    is 6469693230; regularity reads one first-return level per cycle."""
+    code, out, err = run(capsys, "zeta", fx("complex_period_129.json"))
+    assert (code, err) == (0, "")
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert out == (
+        " + ".join(f"1 * [ZxG / (H=G, m={p}, a=e)]" for p in primes) + "\n"
+        + " ".join(f"(1-t^{p})" for p in primes) + "\n"
+    )
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code = run_command(["frobnicate"])
     capsys.readouterr()

@@ -12,12 +12,12 @@ from eqzeta.complexes import (
 )
 from eqzeta.burnside import extend_action
 from eqzeta.errors import ActionError, EqzetaError, RegularityError
-from eqzeta.gperm import realize
+from eqzeta.gperm import GPermutation, lefschetz_table, realize
 from eqzeta.zeta import zeta_from_lefschetz
 from eqzeta.zg import ZGRingElement, canonical_triple
 
 import corpus
-from conftest import capped_perm_group, perm_group_cases, random_gperm
+from conftest import capped_perm_group, joint_regularity_scan, perm_group_cases, random_gperm
 
 
 def test_single_fixed_vertex_chi():
@@ -242,3 +242,111 @@ def test_complex_generator_images_check_matches_the_old_route(case, rng, data):
     new = _complex_outcome(lambda: GComplex.from_generator_images(group, cells, boundary, images))
     old = _complex_outcome(lambda: _old_complex_route(group, cells, boundary, images))
     assert new == old
+
+
+def _outcome(check, k, f):
+    try:
+        check(k, f)
+    except EqzetaError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", None
+
+
+def _edge_complex(x, seeds):
+    """The complex on the points of the G-permutation x with one edge per
+    vertex pair in the orbits of ``seeds`` under G and sigma, and the map
+    that sigma induces.  An orbit with an edge whose ends some element of
+    G swaps is dropped, so the complex is regular."""
+    group, gens = x.group, [x.sigma] + [x.act[s] for s in x.group.generators]
+    edges = []
+    for u, v in seeds:
+        orbit = [tuple(sorted((u, v)))]
+        if u == v or orbit[0] in edges:
+            continue
+        for a, b in orbit:
+            for row in gens:
+                e = tuple(sorted((row[a], row[b])))
+                if e not in orbit:
+                    orbit.append(e)
+        if not any(row[a] == b and row[b] == a for row in x.act for a, b in orbit):
+            edges += orbit
+    index = {e: i for i, e in enumerate(edges)}
+
+    def on_edges(row):
+        return [index[tuple(sorted((row[a], row[b])))] for a, b in edges]
+
+    images = [[list(x.act[s]), on_edges(x.act[s])] for s in group.generators]
+    k = GComplex.from_generator_images(group, [x.n, len(edges)], [[()] * x.n, edges], images)
+    return k, GCellularMap(k, [x.sigma, on_edges(x.sigma)])
+
+
+_REGULARITY_GROUPS = [eq.trivial(), eq.cyclic(2), eq.cyclic(3), eq.cyclic(4), eq.symmetric(3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_REGULARITY_GROUPS), st.randoms(use_true_random=False), st.data())
+def test_first_return_levels_match_the_period_scan(group, rng, data):
+    """Random one-dimensional complexes on realized vertices.  Besides
+    random pairs, a seed may join x to g∘sigma^j(x) with j half a sigma
+    cycle, which fails at level j when sigma^j swaps the two ends."""
+    x = random_gperm(group, rng, max_points=12)
+    seeds = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        u = data.draw(st.integers(0, x.n - 1))
+        if data.draw(st.booleans()):
+            v = data.draw(st.integers(0, x.n - 1))
+        else:
+            cycle = [u]
+            while x.sigma[cycle[-1]] != u:
+                cycle.append(x.sigma[cycle[-1]])
+            g = data.draw(st.integers(0, group.order - 1))
+            v = x.act[g][cycle[len(cycle) // 2]]
+        seeds.append((u, v))
+    k, f = _edge_complex(x, seeds)
+    assert _outcome(check_joint_regularity, k, f) == _outcome(joint_regularity_scan, k, f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 29])
+def test_rotated_edges_with_a_flip_fail_first_at_their_count(n):
+    """n edges rotated by f, the last step swapping the ends: f^n is the
+    first power that fixes an edge, and it moves the edge's ends."""
+    triv = eq.trivial()
+    x = GPermutation(triv, 2 * n, [range(2 * n)], [(i + 1) % (2 * n) for i in range(2 * n)])
+    k, f = _edge_complex(x, [(0, n)])
+    expected = ("RegularityError", f"g∘f^{n} with g=e fixes cell (1,0) but moves its face (0,0)")
+    assert _outcome(check_joint_regularity, k, f) == expected
+    assert _outcome(joint_regularity_scan, k, f) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 29])
+def test_the_least_failing_level_gives_the_witness(n):
+    """An n-flip listed before a 3-flip: the first failing power is 3, and
+    the witness is the first edge of the 3-flip, not of the n-flip."""
+    triv = eq.trivial()
+    sigma = [(i + 1) % (2 * n) for i in range(2 * n)] + [2 * n + (i + 1) % 6 for i in range(6)]
+    x = GPermutation(triv, 2 * n + 6, [range(2 * n + 6)], sigma)
+    k, f = _edge_complex(x, [(0, n), (2 * n, 2 * n + 3)])
+    expected = ("RegularityError",
+                f"g∘f^3 with g=e fixes cell (1,{n}) but moves its face (0,{2 * n})")
+    assert _outcome(check_joint_regularity, k, f) == expected
+    assert _outcome(joint_regularity_scan, k, f) == expected
+
+
+def test_pair_table_is_the_sum_of_the_dimension_tables():
+    for name, k, f in corpus.zeta_pairs():
+        for m_max in (0, 2 * f.z_period()):
+            old = None
+            for d in range(len(k.cells)):
+                term = lefschetz_table(f.dim_gperm(d), m_max or f.z_period())
+                old = term if old is None else old + term if d % 2 == 0 else old - term
+            assert pair_lefschetz_table(k, f, m_max) == old, name
+
+
+def test_pair_table_messages():
+    k = corpus.square_with_half_turn()
+    f = GCellularMap(k, [[1, 2, 3, 0], [1, 2, 3, 0]])
+    with pytest.raises(EqzetaError, match=r"^m_max=3 is below the sigma period 4; "):
+        pair_lefschetz_table(k, f, 3)
+    empty = GComplex(eq.trivial(), [], [], [[]])
+    with pytest.raises(EqzetaError, match="^complex has no cells$"):
+        pair_lefschetz_table(empty, GCellularMap(empty, []))

@@ -343,3 +343,9 @@ def test_stratum_validation_errors():
     outside = next(a for a in range(6) if a not in s3.normalizer(h))
     with pytest.raises(StratumError, match="normalize"):
         StratumRecord(chi=1, m=2, n=2, subgroup=h, alpha=outside).validate(s3)
+
+
+def test_stratum_with_a_repeated_kernel_element_is_rejected():
+    # is_subgroup and normalizer would both read (0, 0) as the subgroup (0,)
+    with pytest.raises(StratumError, match=r"^\(0, 0\) is not a subgroup$"):
+        StratumRecord(chi=1, m=2, n=2, subgroup=(0, 0), alpha=1).validate(eq.cyclic(2))
