@@ -76,9 +76,11 @@ class GSet:
             raise ActionError(
                 f"action table has {len(act)} rows, expected one per group element ({group.order})"
             )
-        self.act = tuple(tuple(map(int, row)) for row in act)
-        if validate:
+        if validate:  # only checked rows are copied entry by entry
+            self.act = tuple(tuple(map(int, row)) for row in act)
             self._validate()
+        else:
+            self.act = tuple(map(tuple, act))
 
     def _validate(self) -> None:
         n, act, group = self.n, self.act, self.group

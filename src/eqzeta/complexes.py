@@ -10,7 +10,7 @@ automorphisms that commute with the action.
 from __future__ import annotations
 
 import math
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
 from .errors import ActionError, EqzetaError, RegularityError
@@ -87,8 +87,9 @@ class GComplex:
         boundary: Sequence[Sequence[Sequence[int]]],
         images: Sequence[Sequence[Sequence[int]]],
     ) -> "GComplex":
-        """Build the full action from per-generator, per-dimension images;
-        a dimension runs the ``GSet`` check only if ``extend_action`` failed it."""
+        """Build the full action from per-generator, per-dimension images
+        and check it as a directly given one: complexes are small, so every
+        dimension runs the ``GSet`` check."""
         cells = _checked_cell_counts(cells)  # before any action row is built
         dims = len(cells)
         for i, per_gen in enumerate(images):
@@ -97,18 +98,16 @@ class GComplex:
                     f"generator {i} gives images for {len(per_gen)} dimensions, expected {dims}"
                 )
         per_dim = [
-            extend_action(group, cells[d], [per_gen[d] for per_gen in images])
+            extend_action(group, cells[d], [per_gen[d] for per_gen in images])[0]
             for d in range(dims)
         ]
-        k = cls(group, cells, boundary, (), validate=False)  # rows set below, not copied
-        k.action = tuple(tuple(table[g] for table, _ in per_dim) for g in range(group.order))
-        k._validate(checked_dims={d for d, (_, ok) in enumerate(per_dim) if ok})
-        return k
+        action = [[table[g] for table in per_dim] for g in range(group.order)]
+        return cls(group, cells, boundary, action)
 
-    def _validate(self, checked_dims: Container[int] = ()) -> None:
+    def _validate(self) -> None:
         """Boundary shape, the dimension count of each element's action,
-        then the action dimension by dimension as a ``GSet`` (but for the
-        ``checked_dims``), then boundary respect and regularity.
+        then the action dimension by dimension as a ``GSet``, then boundary
+        respect and regularity.
 
         Boundary respect is checked for the generators only: it is closed
         under products, and the ``GSet`` checks make every row a product of
@@ -139,8 +138,7 @@ class GComplex:
                     f"dimensions, expected {dims}"
                 )
         for d in range(dims):
-            if d not in checked_dims:
-                GSet(self.group, self.cells[d], [row[d] for row in self.action])
+            GSet(self.group, self.cells[d], [row[d] for row in self.action])
         for g in self.group.generators:
             broken = _first_boundary_break(self.boundary, self.action[g])
             if broken:
@@ -187,14 +185,13 @@ class GCellularMap:
     """A dimension-wise cell permutation commuting with the group action
     and with the boundary incidence."""
 
-    def __init__(self, complex_: GComplex, maps: Sequence[Sequence[int]], *, validate: bool = True):
+    def __init__(self, complex_: GComplex, maps: Sequence[Sequence[int]]):
         self.complex = complex_
         dims = len(complex_.cells)
         if len(maps) != dims:
             raise ActionError(f"map covers {len(maps)} dimensions, expected {dims}")
         self.maps = tuple(tuple(int(x) for x in per_dim) for per_dim in maps)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         cx, group = self.complex, self.complex.group
@@ -249,23 +246,18 @@ def _first_irregular(k: GComplex, powers: Sequence[Sequence[int]], elements: Ite
 def check_joint_regularity(k: GComplex, f: GCellularMap) -> None:
     """Whenever g∘f^m maps a cell to itself it must fix the cell's faces.
 
-    The (Z x G)-stabilizer of a cell y is generated by {0} x H_y, regular as
-    k is, and one (j, a), j the first level with f^j(y) in G·y (tom Dieck,
-    LNM 766).  The elements fixing every face of y form a subgroup, so y
-    fails only if it fails at j, its least level: scanning these levels in
-    order finds the first failing power and its witness.  The walk to j
-    relies on f commuting with G, which ``GCellularMap`` checks.
+    The (Z x G)-stabilizer of a cell y is the triple (H, j, a) that
+    ``classify`` gives its orbit: {0} x H, regular as k is, and one (j, a),
+    j the first level with f^j(y) in G·y (tom Dieck, LNM 766).  The elements
+    fixing every face of y form a subgroup, so y fails only if it fails at
+    j, its least level: scanning these levels in order finds the first
+    failing power and its witness.  The levels come from each dimension's
+    classification, not from the alternating sum, in which triples of
+    different dimensions may cancel.  ``classify`` relies on f commuting
+    with G, which ``GCellularMap`` checks.
     """
     group = k.group
-    levels = set()
-    for d, perm in enumerate(f.maps):
-        rows = [perm] + [k.action[g][d] for g in group.generators]
-        for orbit in permutation_orbits(rows, range(k.cells[d])):
-            g_orbit = {row[d][orbit[0]] for row in k.action}
-            j, z = 1, perm[orbit[0]]
-            while z not in g_orbit:
-                j, z = j + 1, perm[z]
-            levels.add(j)
+    levels = {t.m for d in range(len(k.cells)) for t in classify(f.dim_gperm(d)).coeffs}
     for m in sorted(levels):
         powers = [f.dim_gperm(d).power(m).sigma for d in range(len(k.cells))]
         if found := _first_irregular(k, powers, range(group.order)):

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .burnside import BurnsideElement
 from .complexes import GCellularMap, GComplex
 from .errors import DocumentError, EqzetaError
 from .gperm import GPermutation, LefschetzTable
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, _loc, build_group
 from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_pair, canonical_triple
 from .zeta import StratumRecord
 
@@ -42,20 +42,37 @@ def parse_document(
     A document whose group ``is_same_as`` ``group`` is parsed on ``group``.
     """
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return parse_object(obj, base_dir=base_dir, group=group)
+        return parse_object(_decode(text), base_dir=base_dir, group=group)
+    except RecursionError:  # say, products nested hundreds deep
+        raise DocumentError("document is nested too deeply") from None
 
 
 def parse_document_file(path: str | Path, group: FiniteGroup | None = None) -> InputDocument:
     path = Path(path)
+    text = _read(path)
+    return _in_file(path, lambda: parse_document(text, base_dir=path.parent, group=group))
+
+
+def _read(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+
+
+def _decode(text: str) -> Any:
     try:
-        return parse_document(text, base_dir=path.parent, group=group)
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
+
+
+def _in_file(path: Path, parse: Callable[[], Any]) -> Any:
+    """``parse()``, with its DocumentError prefixed by the file."""
+    try:
+        return parse()
     except DocumentError as exc:
         raise DocumentError(f"{path}: {exc}") from None
 
@@ -88,12 +105,6 @@ def parse_object(
 
 
 # -- field helpers -----------------------------------------------------------
-
-
-def _loc(path: str, key: str | int) -> str:
-    if isinstance(key, int):
-        return f"{path}[{key}]"
-    return f"{path}.{key}" if path else key
 
 
 def _need(obj: dict, key: str, path: str) -> Any:
@@ -156,18 +167,18 @@ def _group_from(value: Any, path: str, base_dir: str | Path | None) -> FiniteGro
         ref = Path(value)
         if base_dir is not None and not ref.is_absolute():
             ref = Path(base_dir) / ref
-        doc = parse_document_file(ref)
-        if doc.kind != "group":
+        text = _read(ref)
+        obj = _in_file(ref, lambda: _decode(text))
+        # the kind is read first, so no other document is built, nor its references
+        if isinstance(obj, dict) and obj.get("kind") in KINDS and obj["kind"] != "group":
             raise DocumentError(f"{path}: referenced document is not a group")
-        return doc.group
+        return _in_file(ref, lambda: parse_object(obj, base_dir=ref.parent)).group
     if not isinstance(value, dict):
         raise DocumentError(f"{path}: expected a group object or a path string")
     if "kind" in value and value["kind"] != "group":
         raise DocumentError(f"{_loc(path, 'kind')}: expected 'group'")
     try:
         return build_group(value)
-    except KeyError as exc:
-        raise DocumentError(f"{path}: missing field {exc.args[0]!r}") from None
     except EqzetaError as exc:
         raise _wrap(path or "group", exc) from None
 
@@ -243,8 +254,10 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
         if not 1 <= m <= m_max:
             raise DocumentError(f"{_loc(path, 'm')}: must lie in 1..m_max={m_max}")
         value = _int_field(item, "value", path)
-        # a class id reads its pair table; canonical_pair reads element lists
-        # and reports a g that does not normalize H
+        # a class id, as `lefschetz --format structured` writes it, reads its
+        # pair table, which saves one canonical_pair per entry of a table read
+        # back; canonical_pair reads element lists and reports a g that does
+        # not normalize H
         try:
             alpha = None if cls is None else group.pair_table[cls].get(group.coset_min(elems, g))
             h_class, alpha = canonical_pair(group, elems, g) if alpha is None else (cls, alpha)
@@ -339,7 +352,7 @@ def _parse_complex(obj: dict, group: FiniteGroup) -> tuple[GComplex, GCellularMa
 # -- rendering ---------------------------------------------------------------
 
 
-def structured_zg(doc_group: Any, z: ZGRingElement, classical: bool = True) -> dict:
+def structured_zg(doc_group: Any, z: ZGRingElement) -> dict:
     group = z.group
     terms = []
     for t in sorted(z.coeffs):
@@ -352,10 +365,8 @@ def structured_zg(doc_group: Any, z: ZGRingElement, classical: bool = True) -> d
                 "alpha": t.alpha,
             }
         )
-    out = {"kind": "expr", "group": doc_group, "terms": terms}
-    if classical:
-        out["classical"] = structured_classical(z.forget_to_classical())
-    return out
+    classical = structured_classical(z.forget_to_classical())
+    return {"kind": "expr", "group": doc_group, "terms": terms, "classical": classical}
 
 
 def structured_classical(c: ClassicalZeta) -> dict:

@@ -69,9 +69,8 @@ class GPermutation:
         if not group.generators and len(sigma) != n:  # no image array bounds n here
             raise ActionError(f"sigma has {len(sigma)} entries, expected {n}")
         act, homomorphic = extend_action(group, n, images)
-        p = cls(group, n, [()] * group.order, sigma, validate=False)  # checks sigma's length
         # extend_action checked the rows; only a broken edge needs GSet, to report it
-        p.act = act if homomorphic else GSet(group, p.n, act).act
+        p = cls(group, n, act, sigma, validate=not homomorphic)
         p._check_sigma()
         return p
 

@@ -293,9 +293,16 @@ class FiniteGroup:
 
     @cached_property
     def all_subgroups(self) -> tuple[tuple[int, ...], ...]:
-        """Every subgroup, sorted by (order, elements), by cyclic extension
-        of class representatives with zuppos, the cyclic subgroups of
-        prime-power order (Neubüser 1960).
+        """Every subgroup, sorted by (order, elements): the subgroups that
+        ``subgroup_classes`` holds a conjugator for."""
+        return tuple(sorted(self.subgroup_classes._conjugator, key=lambda t: (len(t), t)))
+
+    def _discovery(self) -> tuple[dict, dict]:
+        """(registry, normalizers) by cyclic extension of class
+        representatives with zuppos, the cyclic subgroups of prime-power
+        order (Neubüser 1960): each subgroup H -> (K, c) with K its least
+        conjugate and c the greatest element with H = cKc^-1, and each
+        K -> N(K).  ``subgroup_classes`` runs it once.
 
         From the trivial subgroup on, each representative V is joined with
         one generator z of each zuppo, closing the generators V was found
@@ -308,17 +315,8 @@ class FiniteGroup:
         maximal subgroup V of H and ⟨V, Z⟩ = H; by induction V = cV0c^-1
         with V0 queued, and the join of V0 with c^-1Zc is c^-1Hc.  All
         zuppos are joined, not only those normalizing V, so perfect
-        subgroups such as A5 need no special case.
-        """
-        return tuple(sorted(self._discovery[0], key=lambda t: (len(t), t)))
-
-    @cached_property
-    def _discovery(self) -> tuple[dict, dict]:
-        """(registry, normalizers): each subgroup H -> (K, c) with K its least
-        conjugate and c the greatest element with H = cKc^-1, and each
-        K -> N(K).  Only a new class grows the queue, so there is one pass
-        per class.  ``subgroup_classes`` turns the registry into its
-        conjugator dict in place.
+        subgroups such as A5 need no special case.  Only a new class grows
+        the queue, so there is one pass per class.
 
         A new join k, closed from ``gens``, first gets its normalizer: the b
         with b g b^-1 in k for each g in ``gens``, |G|·|gens| lookups.  The
@@ -372,24 +370,20 @@ class FiniteGroup:
 
     @cached_property
     def subgroup_classes(self) -> SubgroupClassTable:
-        """Classes, conjugators and normalizers from the discovery behind
-        ``all_subgroups`` (zuppo extension of class representatives).
+        """Classes, conjugators and normalizers from one ``_discovery``.
 
-        The representatives are the least members of their classes, so read
-        from ``all_subgroups`` (sorted by (order, elements)) they come out
-        in class order.  The marks are left to their first read.
+        The representatives are the least members of their classes, so
+        sorted by (order, elements) they come out in class order.  The marks
+        are left to their first read.
         """
-        subgroups = self.all_subgroups  # runs the discovery
-        conjugator, normalizer_of = self._discovery
-        reps = [h for h in subgroups if h in normalizer_of]
+        registry, normalizer_of = self._discovery()
+        reps = sorted(normalizer_of, key=lambda t: (len(t), t))
         class_id = {h: k for k, h in enumerate(reps)}
-        for h, (rep, c) in conjugator.items():
-            conjugator[h] = (class_id[rep], c)
         return SubgroupClassTable(
             classes=tuple(Subgroup(r) for r in reps),
             class_sizes=tuple(self.order // len(normalizer_of[r]) for r in reps),
             normalizers=tuple(normalizer_of[r] for r in reps),
-            _conjugator=conjugator,
+            _conjugator={h: (class_id[rep], c) for h, (rep, c) in registry.items()},
         )
 
     @cached_property
@@ -610,32 +604,68 @@ def build_group(spec: Mapping, *, order_bound: int = DEFAULT_ORDER_BOUND) -> Fin
         raise GroupError(f"group description is missing field {exc.args[0]!r}") from None
 
 
-def _build_group(spec: Mapping, order_bound: int) -> FiniteGroup:
+def _loc(path: str, key: str | int) -> str:
+    """The path of ``key`` in a document, as diagnostics print it: ``factors[1].n``."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GroupError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise GroupError(f"{path}: expected an array")
+    return value
+
+
+def _ints(value, path: str) -> list:
+    """An array of integers; a location is formatted only for an entry that fails."""
+    if not {int}.issuperset(map(type, _list(value, path))):
+        for i, x in enumerate(value):
+            _int(x, _loc(path, i))
+    return value
+
+
+def _int_rows(value, path: str) -> list:
+    return [_ints(row, _loc(path, i)) for i, row in enumerate(_list(value, path))]
+
+
+def _build_group(spec: Mapping, order_bound: int, path: str = "") -> FiniteGroup:
+    """The group ``spec`` describes; ``path`` locates it in the document."""
     kind = spec.get("type")
-    if kind == "cyclic":
-        return cyclic(int(spec["n"]), order_bound=order_bound)
-    if kind == "dihedral":
-        return dihedral(int(spec["n"]), order_bound=order_bound)
-    if kind == "symmetric":
-        return symmetric(int(spec["n"]), order_bound=order_bound)
+    if kind in ("cyclic", "dihedral", "symmetric"):
+        build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind]
+        return build(_int(spec["n"], _loc(path, "n")), order_bound=order_bound)
     if kind == "product":
-        factors = spec["factors"]
+        at = _loc(path, "factors")
+        factors = _list(spec["factors"], at)
         if len(factors) < 2:
             raise GroupError("product needs at least two factors")
-        group = build_group(factors[0], order_bound=order_bound)
-        for f in factors[1:]:
-            group = product(group, build_group(f, order_bound=order_bound), order_bound=order_bound)
+        group = None
+        for i, f in enumerate(factors):
+            if not isinstance(f, Mapping):
+                raise GroupError(f"{_loc(at, i)}: expected an object")
+            g = _build_group(f, order_bound, _loc(at, i))
+            group = g if group is None else product(group, g, order_bound=order_bound)
         return group
     if kind == "perm-gens":
-        return from_permutations(
-            int(spec["points"]), spec["generators"], order_bound=order_bound
-        )
+        points = _int(spec["points"], _loc(path, "points"))
+        if points < 0:
+            raise GroupError(f"{_loc(path, 'points')}: must be nonnegative")
+        gens = _int_rows(spec["generators"], _loc(path, "generators"))
+        return from_permutations(points, gens, order_bound=order_bound)
     if kind == "table":
+        labels, gens = spec.get("labels"), spec.get("generators")
         return FiniteGroup(
-            spec["mul"],
+            _int_rows(spec["mul"], _loc(path, "mul")),
             name=str(spec.get("name", "G")),
-            labels=spec.get("labels"),
-            generators=spec.get("generators"),
+            labels=None if labels is None else _list(labels, _loc(path, "labels")),
+            generators=None if gens is None else _ints(gens, _loc(path, "generators")),
             order_bound=order_bound,
         )
     raise GroupError(f"unknown group type {kind!r}")

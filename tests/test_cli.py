@@ -420,6 +420,53 @@ def test_group_order_is_checked_before_the_group_is_built(capsys, tmp_path, spec
     assert "exceeds the bound 5040" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "cyclic", "n": [1]}, "group: n: expected an integer, got [1]"),
+        ({"type": "cyclic", "n": None}, "group: n: expected an integer, got None"),
+        ({"type": "cyclic", "n": 3.7}, "group: n: expected an integer, got 3.7"),
+        ({"type": "cyclic", "n": "3"}, "group: n: expected an integer, got '3'"),
+        ('{"kind": "group", "type": "dihedral", "n": 1e400}',
+         "group: n: expected an integer, got inf"),
+        ({"type": "symmetric", "n": True}, "group: n: expected an integer, got True"),
+        ({"type": "product", "factors": 5}, "group: factors: expected an array"),
+        ({"type": "product", "factors": [1, 2]}, "group: factors[0]: expected an object"),
+        ({"type": "perm-gens", "points": 2, "generators": "ab"},
+         "group: generators: expected an array"),
+        ({"type": "perm-gens", "points": 3, "generators": [[0, 1, "x"]]},
+         "group: generators[0][2]: expected an integer, got 'x'"),
+        ({"type": "perm-gens", "points": -1, "generators": []},
+         "group: points: must be nonnegative"),
+        ({"type": "table", "mul": 5}, "group: mul: expected an array"),
+        ({"type": "table", "mul": [[0]], "labels": 5}, "group: labels: expected an array"),
+        ({"type": "table", "mul": [[0]], "generators": 5}, "group: generators: expected an array"),
+        ({"type": "table", "mul": [[0, 1], [1, 0]], "generators": [None]},
+         "group: generators[0]: expected an integer, got None"),
+        ({"type": "table", "mul": [["a"]]}, "group: mul[0][0]: expected an integer, got 'a'"),
+        ("self", "group: referenced document is not a group"),
+        ("mutual", "group: referenced document is not a group"),
+        ("[" * 100000 + "]" * 100000, "doc.json: document is nested too deeply"),
+    ],
+)
+def test_malformed_documents_end_in_one_error_line(capsys, tmp_path, spec, message):
+    """No document ends in a traceback: each names its field or reference."""
+    path = tmp_path / "doc.json"
+    if spec in ("self", "mutual"):  # gperm documents whose group path loops
+        other = path if spec == "self" else tmp_path / "other.json"
+        gperm = {"kind": "gperm", "points": 0, "action": [], "sigma": []}
+        path.write_text(json.dumps({**gperm, "group": other.name}))
+        other.write_text(json.dumps({**gperm, "group": path.name}))
+    elif isinstance(spec, str):
+        path.write_text(spec)
+    else:
+        path.write_text(json.dumps({"kind": "group", **spec}))
+    code, out, err = run(capsys, "subgroups", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert err.rstrip("\n").endswith(message)
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "group",\n  "type": }\n')

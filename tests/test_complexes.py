@@ -332,6 +332,17 @@ def test_the_least_failing_level_gives_the_witness(n):
     assert _outcome(joint_regularity_scan, k, f) == expected
 
 
+def test_a_failing_level_that_cancels_in_the_alternating_sum_is_checked():
+    """Three edges rotated by f with f^3 swapping their ends: the edges'
+    triple (e, 3, e) cancels against the vertex 3-cycle's, so only the
+    per-dimension classifications hold the failing level 3."""
+    x = GPermutation(eq.trivial(), 9, [range(9)], [1, 2, 3, 4, 5, 0, 7, 8, 6])
+    k, f = _edge_complex(x, [(0, 3)])
+    expected = ("RegularityError", "g∘f^3 with g=e fixes cell (1,0) but moves its face (0,0)")
+    assert _outcome(check_joint_regularity, k, f) == expected
+    assert _outcome(joint_regularity_scan, k, f) == expected
+
+
 def test_pair_table_is_the_sum_of_the_dimension_tables():
     for name, k, f in corpus.zeta_pairs():
         for m_max in (0, 2 * f.z_period()):

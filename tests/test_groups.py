@@ -114,6 +114,42 @@ def test_builders_check_the_order_bound_before_building(build, order):
         build()
 
 
+_C2 = {"type": "cyclic", "n": 2}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "cyclic", "n": [1]}, "n: expected an integer, got [1]"),
+        ({"type": "cyclic", "n": None}, "n: expected an integer, got None"),
+        ({"type": "cyclic", "n": 3.7}, "n: expected an integer, got 3.7"),
+        ({"type": "cyclic", "n": "3"}, "n: expected an integer, got '3'"),
+        ({"type": "dihedral", "n": float("inf")}, "n: expected an integer, got inf"),
+        ({"type": "symmetric", "n": True}, "n: expected an integer, got True"),
+        ({"type": "product", "factors": 5}, "factors: expected an array"),
+        ({"type": "product", "factors": [1, 2]}, "factors[0]: expected an object"),
+        ({"type": "product", "factors": [_C2, {"type": "cyclic", "n": "2"}]},
+         "factors[1].n: expected an integer, got '2'"),
+        ({"type": "product", "factors": [_C2, {"type": "product", "factors": [_C2, 2]}]},
+         "factors[1].factors[1]: expected an object"),
+        ({"type": "perm-gens", "points": 2, "generators": "ab"}, "generators: expected an array"),
+        ({"type": "perm-gens", "points": 3, "generators": [[0, 1, "x"]]},
+         "generators[0][2]: expected an integer, got 'x'"),
+        ({"type": "perm-gens", "points": -1, "generators": []}, "points: must be nonnegative"),
+        ({"type": "table", "mul": 5}, "mul: expected an array"),
+        ({"type": "table", "mul": [["a"]]}, "mul[0][0]: expected an integer, got 'a'"),
+        ({"type": "table", "mul": [[0]], "labels": 5}, "labels: expected an array"),
+        ({"type": "table", "mul": [[0]], "generators": 5}, "generators: expected an array"),
+        ({"type": "table", "mul": [[0, 1], [1, 0]], "generators": [None]},
+         "generators[0]: expected an integer, got None"),
+    ],
+)
+def test_malformed_group_descriptions_raise_group_error(spec, message):
+    with pytest.raises(GroupError) as info:
+        eq.build_group(spec)
+    assert str(info.value) == message
+
+
 def oracle_associativity_witness(table):
     """The first (a, b, c) in lexicographic order with (ab)c != a(bc)."""
     n = len(table)
