@@ -565,7 +565,7 @@ def from_permutations(
         if sorted(t) != list(range(n_points)):
             raise GroupError(f"generator {i} is not a bijection on {n_points} points")
         gens.append(t)
-    identity = tuple(range(n_points))
+    identity = tuple(range(n_points)) if gens else ()  # composed only with a generator
     elems = [identity]
     index = {identity: 0}
     frontier = [identity]
@@ -585,11 +585,9 @@ def from_permutations(
         frontier = nxt
     table = [[index[_compose(p, q)] for q in elems] for p in elems]
     gen_idx = [index[g] for g in gens]
-    group = FiniteGroup(
+    return FiniteGroup(
         table, name=name, generators=gen_idx, validate=False, order_bound=order_bound
     )
-    group.permutation_forms = tuple(elems)
-    return group
 
 
 def build_group(spec: Mapping, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:

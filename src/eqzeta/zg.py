@@ -16,9 +16,9 @@ and ``gperm.realize`` assembles the whole model from those rows.
 The product of two basis triples is the class of the Cartesian product of
 their coset models.  It is computed by the Mackey double-coset route: the
 stabilizer of the base point of the first model acts on the second, and
-each of its orbits names one orbit of the product.  Only the |H1| + 1 rows
-of that stabilizer's generators are read, so no model of either triple and
-no product set is built.
+each of its orbits names one orbit of the product.  As (1, e) is central
+in Z x G, its orbits on level 0 of the second model stand for all levels,
+so only |H1| + 1 rows on G/H2 are read: no level but one is built.
 
 ``ClassicalZeta`` is the image ring: rational functions of the shape
 prod (1 - t^m)^{s_m}, stored as the finite exponent mapping m -> s_m and
@@ -171,10 +171,10 @@ class ZGRingElement(Combination):
         """Cartesian product with the diagonal action, extended bilinearly.
 
         Basis products follow the Mackey route of ``_mackey_product``: the
-        K1-orbits on the coset model of t2, about |X2| * (|H1| + 1) steps
-        instead of the |X1| * |X2| * |G| of building the product.  The
-        test suite keeps the product route, classifying the product of two
-        models built level by level, as its oracle.
+        K1-orbits on one level of the coset model of t2, [G:H2] * (|H1| + 1)
+        steps instead of the |X1| * |X2| * |G| of building the product.  The
+        test suite keeps two routes as oracles: classifying the product of
+        two models built level by level, and the K1-orbits on every level.
         """
         self._check_group(other)
         out: dict[TripleClass, int] = {}
@@ -223,20 +223,27 @@ def _mackey_product(group: FiniteGroup, t1: TripleClass, t2: TripleClass) -> dic
 
     K1 = {(j*m1, a1^j h) : h in H1} is the stabilizer of the base point x0
     of X1, so the orbits of X1 x X2 are those of the points (x0, y), one per
-    K1-orbit of y in X2, with stabilizer K1 n Stab(y) (Mackey), which
-    ``orbit_triple`` names from the rows of H1 and of (m1, a1) on X2.
+    K1-orbit of y in X2, with stabilizer K1 n Stab(y) (Mackey).  K1 moves
+    levels by multiples of g = gcd(m1, m2), and (1, e) is central, so the
+    orbits on each level class mod g repeat those on level 0.  Level 0 is
+    kept by {0} x H1 and (L, b), L = lcm(m1, m2), b = a1^(L/m1), which sends
+    cH2 to b c a2^(-L/m2) H2; ``orbit_triple`` names the orbits of their rows.
     """
     h1, m1, a1 = triple_rep(group, t1)
-    cosets = group.left_cosets(triple_rep(group, t2)[0])
-    h1_rows = [coset_model_row(group, t2, cosets, 0, h) for h in h1]
-    step = coset_model_row(group, t2, cosets, m1, a1)
+    h2, m2, a2 = triple_rep(group, t2)
+    g, lcm = math.gcd(m1, m2), math.lcm(m1, m2)
+    b = group.power(a1, lcm // m1)
+    elem2coset, reps = group.left_cosets(h2)
+    twist = group.power(a2, -(lcm // m2))
+    h1_rows = [tuple(elem2coset[group.mul(h, c)] for c in reps) for h in h1]
+    step = tuple(elem2coset[group.mul(group.mul(b, c), twist)] for c in reps)
     out: dict[TripleClass, int] = {}
     points = 0
     for orbit in permutation_orbits(h1_rows + [step], range(len(step))):
-        t = orbit_triple(group, h1, h1_rows, step, m1, a1, orbit[0])
-        out[t] = out.get(t, 0) + 1
-        points += triple_index(group, t)
-    if points != triple_index(group, t1) * len(step):
+        t = orbit_triple(group, h1, h1_rows, step, lcm, b, orbit[0])
+        out[t] = out.get(t, 0) + g
+        points += g * triple_index(group, t)
+    if points != triple_index(group, t1) * triple_index(group, t2):
         raise AssertionError("the Mackey product lost points; this is a bug")
     return out
 

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 import eqzeta as eq
 from eqzeta.burnside import permutation_orbits, sigma_powers
 from eqzeta.gperm import GPermutation, LefschetzTable, classify, realize
-from eqzeta.zg import TripleClass, canonical_triple, triple_rep, triple_z_period
+from eqzeta.zg import (
+    TripleClass,
+    canonical_triple,
+    coset_model_row,
+    orbit_triple,
+    triple_index,
+    triple_rep,
+    triple_z_period,
+)
 
 # child interpreters started by the CLI tests import eqzeta from src as well
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -98,6 +106,24 @@ def basis_product_oracle(group, t1, t2):
     """Oracle for ``zg._basis_product``: build both coset models directly,
     take X1 x X2 with the diagonal action and classify it."""
     return classify(realize_direct(group, t1).product(realize_direct(group, t2))).coeffs
+
+
+def levelwise_mackey_product(group, t1, t2):
+    """Oracle for ``zg._mackey_product``: the K1-orbits on all m2 levels of
+    the coset model of t2, read from the rows of H1 and of (m1, a1) there."""
+    h1, m1, a1 = triple_rep(group, t1)
+    cosets = group.left_cosets(triple_rep(group, t2)[0])
+    h1_rows = [coset_model_row(group, t2, cosets, 0, h) for h in h1]
+    step = coset_model_row(group, t2, cosets, m1, a1)
+    out = {}
+    points = 0
+    for orbit in permutation_orbits(h1_rows + [step], range(len(step))):
+        t = orbit_triple(group, h1, h1_rows, step, m1, a1, orbit[0])
+        out[t] = out.get(t, 0) + 1
+        points += triple_index(group, t)
+    if points != triple_index(group, t1) * len(step):
+        raise AssertionError("the levelwise Mackey product lost points")
+    return out
 
 
 def lefschetz_table_direct(p, m_max=0):

@@ -78,6 +78,16 @@ def test_mul_and_add(capsys):
     assert out.splitlines()[0] == "2 * [ZxG / (H=G, m=2, a=e)]"
 
 
+def test_mul_and_st_at_a_large_period(capsys):
+    big = fx("expr_large_m_c2.json")
+    code, out, err = run(capsys, "mul", big, big)
+    assert (code, err) == (0, "")
+    assert out == "2000000 * [ZxG / (H=e, m=1000000, a=g1)]\n(1-t^2000000)^2000000\n"
+    code, out, err = run(capsys, "st", big, big)
+    assert (code, err) == (0, "")
+    assert out == "-1999998 * [ZxG / (H=e, m=1000000, a=g1)]\n(1-t^2000000)^-1999998\n"
+
+
 def test_zeta_solve_three_cycle(capsys):
     code, out, _ = run(capsys, "zeta-solve", fx("lefschetz_3cycle.json"))
     assert code == 0

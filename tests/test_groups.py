@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -97,6 +98,17 @@ def test_order_bound_enforced():
         eq.symmetric(8)  # 40320 > 5040
     with pytest.raises(GroupError):
         eq.cyclic(17, order_bound=16)
+
+
+def test_a_group_without_generators_builds_nothing_of_its_point_count():
+    tracemalloc.start()
+    try:
+        group = eq.build_group({"type": "perm-gens", "points": 10**6, "generators": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 1
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from conftest import (
     basis_product_oracle,
     canonical_triples,
     capped_perm_group,
+    levelwise_mackey_product,
     perm_group_cases,
     realize_direct,
 )
@@ -172,6 +173,44 @@ def test_mackey_product_matches_oracle_on_random_groups(case, data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))  # uniform picks
     for _ in range(5):
         _assert_mackey_matches_oracle(group, rng.choice(triples), rng.choice(triples))
+
+
+@pytest.mark.parametrize(
+    "group, max_m",
+    [
+        (eq.cyclic(2), 6),
+        (eq.symmetric(3), 6),
+        (eq.dihedral(4), 5),
+        (eq.symmetric(4), 3),
+        (eq.product(eq.cyclic(2), eq.symmetric(3)), 4),
+    ],
+    ids=["C2", "S3", "D4", "S4", "C2xS3"],
+)
+def test_one_level_product_matches_the_levelwise_oracle_exhaustively(group, max_m):
+    triples = canonical_triples(group, max_m)
+    for t1, t2 in itertools.combinations_with_replacement(triples, 2):
+        expected = levelwise_mackey_product(group, t1, t2)
+        assert _mackey_product(group, t1, t2) == expected, (t1, t2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_group_cases(4), st.data())
+def test_one_level_product_matches_the_levelwise_oracle_up_to_m_12(case, data):
+    """Periods up to 12 reach pairs such as (4, 6), where gcd(m1, m2) > 1
+    and lcm(m1, m2) exceeds both."""
+    group = capped_perm_group(*case, cap=12)
+    triples = st.sampled_from(canonical_triples(group, 12))
+    for _ in range(5):
+        t1, t2 = data.draw(triples), data.draw(triples)
+        expected = levelwise_mackey_product(group, t1, t2)
+        assert _mackey_product(group, t1, t2) == expected, (t1, t2)
+        assert _mackey_product(group, t2, t1) == expected, (t2, t1)
+
+
+def test_product_cost_does_not_follow_the_period():
+    c2 = eq.cyclic(2)
+    x = ZGRingElement.basis(c2, canonical_triple(c2, (0,), 1000000007, 1))
+    assert x * x == 2000000014 * x
 
 
 def test_ring_axioms_on_random_elements(suite_groups):
