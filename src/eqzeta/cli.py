@@ -1,7 +1,10 @@
 """Deterministic command-line front end.
 
-Exit codes: 0 on success, 1 on validation failure (diagnostic on stderr),
-2 on usage errors.  Identical inputs produce byte-identical output.
+``COMMANDS`` is the one list of subcommands: each row gives the name, the
+help text, the document kinds the command reads (one positional file each)
+and the handler that prints the answer.  Exit codes: 0 on success, 1 on
+validation failure (diagnostic on stderr), 2 on usage errors.  Identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -10,34 +13,34 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import documents
 from .complexes import brute_zeta
 from .errors import DocumentError, EqzetaError
 from .gperm import classify, lefschetz_table
-from .groups import FiniteGroup
 from .zeta import acampo, sebastiani_thom, zeta_from_lefschetz
 from .zg import ZGRingElement
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _load(path: str, kind: str, group: FiniteGroup | None = None) -> documents.InputDocument:
-    doc = documents.parse_document_file(path, group=group)
-    if doc.kind != kind:
-        raise DocumentError(f"{path}: expected a {kind!r} document, got {doc.kind!r}")
-    return doc
+def _show(fmt: str, structured: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the answer in ``fmt``; it is rendered whole before any of it is printed."""
+    try:
+        out = json.dumps(structured(), indent=2, sort_keys=True) if fmt == "structured" else text()
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        raise EqzetaError(
+            f"the answer holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to print"
+        ) from None
+    print(out)
 
 
 def _print_zg(doc: documents.InputDocument, z: ZGRingElement, fmt: str) -> None:
-    if fmt == "structured":
-        _emit(documents.structured_zg(doc.raw_group, z))
-    else:
-        print(z.render())
-        print(z.forget_to_classical().render())
+    _show(
+        fmt,
+        lambda: documents.structured_zg(doc.raw_group, z),
+        lambda: z.render() + "\n" + z.forget_to_classical().render(),
+    )
 
 
 def run_command(argv: Sequence[str]) -> int:
@@ -47,10 +50,28 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.handler(args, *_load(args))
     except EqzetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
+
+
+def _load(args) -> list[documents.InputDocument]:
+    """The command's documents; a second one is parsed on the first one's group
+    when they agree, and must agree."""
+    docs: list[documents.InputDocument] = []
+    paths = [getattr(args, f) for f in args.files]
+    for path, kind in zip(paths, args.kinds):
+        doc = documents.parse_document_file(path, group=docs[0].group if docs else None)
+        if doc.kind != kind:
+            raise DocumentError(f"{path}: expected a {kind!r} document, got {doc.kind!r}")
+        if docs and doc.group is not docs[0].group:
+            raise DocumentError(
+                f"{path}: group differs from {paths[0]}; binary operations need a common group"
+            )
+        docs.append(doc)
+    return docs
 
 
 @functools.cache  # built on the first command, not at import
@@ -60,193 +81,125 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Equivariant monodromy zeta functions with exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, *files: str, m_max: bool = False):
+    for name, help_, kinds, handler in COMMANDS:
         p = sub.add_parser(name, help=help_)
+        # one positional per document: gperm_file, or expr_file1 and expr_file2
+        files = [f"{kind}_file{i if len(kinds) > 1 else ''}" for i, kind in enumerate(kinds, 1)]
         for f in files:
             p.add_argument(f)
-        if m_max:
+        if name == "lefschetz":
             p.add_argument("--m-max", type=int, default=0)
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            dest="fmt",
-        )
-        return p
-
-    add("subgroups", "list subgroup classes of a group", "group_file").set_defaults(
-        func=_cmd_subgroups
-    )
-    add("marks", "print the table of marks", "group_file").set_defaults(func=_cmd_marks)
-    add("chi", "equivariant Euler characteristic of a complex", "complex_file").set_defaults(
-        func=_cmd_chi
-    )
-    add("classify", "classify a G-permutation into triples", "gperm_file").set_defaults(
-        func=_cmd_classify
-    )
-    add(
-        "lefschetz",
-        "tabulate Lefschetz data of a G-permutation",
-        "gperm_file",
-        m_max=True,
-    ).set_defaults(func=_cmd_lefschetz)
-    add("zeta-solve", "solve a Lefschetz table for the zeta element", "lefschetz_file").set_defaults(
-        func=_cmd_zeta_solve
-    )
-    add("zeta", "brute-force zeta of a cellular map", "complex_file").set_defaults(
-        func=_cmd_zeta_complex
-    )
-    add("st", "Sebastiani-Thom combination of two elements", "expr_file1", "expr_file2").set_defaults(
-        func=_cmd_st
-    )
-    add("acampo", "evaluate the exceptional-divisor formula", "strata_file").set_defaults(
-        func=_cmd_acampo
-    )
-    add("forget", "classical zeta of an element", "expr_file").set_defaults(func=_cmd_forget)
-    add("mul", "product of two elements", "expr_file1", "expr_file2").set_defaults(
-        func=_cmd_mul
-    )
-    add("add", "sum of two elements", "expr_file1", "expr_file2").set_defaults(func=_cmd_add)
+        p.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
+        p.set_defaults(files=files, kinds=kinds, handler=handler)
     return parser
 
 
-def _cmd_subgroups(args) -> int:
-    doc = _load(args.group_file, "group")
+# -- handlers: (args, *documents) -> None; compute functions are looked up by
+# name at each call, so that a wrapper installed on the module is the one called
+
+
+def _zg(compute: Callable[..., ZGRingElement]) -> Callable[..., None]:
+    """The handler that prints the (Z×G) element ``compute(args, *docs)``."""
+    return lambda args, *docs: _print_zg(docs[0], compute(args, *docs), args.fmt)
+
+
+def _subgroups(args, doc) -> None:
     group = doc.group
     table = group.subgroup_classes
-    if args.fmt == "structured":
-        _emit(
-            {
-                "group": doc.raw_group,
-                "classes": [
-                    {
-                        "id": i,
-                        "label": group.subgroup_label(i),
-                        "order": rep.order,
-                        "count": table.class_sizes[i],
-                        "elements": list(rep.elements),
-                        "normalizer": list(table.normalizers[i]),
-                    }
-                    for i, rep in enumerate(table.classes)
-                ],
-            }
-        )
-    else:
-        for i, rep in enumerate(table.classes):
-            print(
-                f"{group.subgroup_label(i)}: order={rep.order}, "
-                f"count={table.class_sizes[i]}, elements={list(rep.elements)}"
-            )
-    return 0
+    _show(
+        args.fmt,
+        lambda: {
+            "group": doc.raw_group,
+            "classes": [
+                {
+                    "id": i,
+                    "label": group.subgroup_label(i),
+                    "order": rep.order,
+                    "count": table.class_sizes[i],
+                    "elements": list(rep.elements),
+                    "normalizer": list(table.normalizers[i]),
+                }
+                for i, rep in enumerate(table.classes)
+            ],
+        },
+        lambda: "\n".join(
+            f"{group.subgroup_label(i)}: order={rep.order}, "
+            f"count={table.class_sizes[i]}, elements={list(rep.elements)}"
+            for i, rep in enumerate(table.classes)
+        ),
+    )
 
 
-def _cmd_marks(args) -> int:
-    doc = _load(args.group_file, "group")
+def _marks(args, doc) -> None:
     group = doc.group
     labels = [group.subgroup_label(i) for i in range(len(group.subgroup_classes))]
     matrix = group.table_of_marks.matrix
-    if args.fmt == "structured":
-        _emit({"group": doc.raw_group, "labels": labels, "matrix": [list(r) for r in matrix]})
-    else:
-        print("columns: " + " ".join(labels))
-        for label, row in zip(labels, matrix):
-            print(f"{label}: " + " ".join(str(v) for v in row))
-    return 0
+    _show(
+        args.fmt,
+        lambda: {"group": doc.raw_group, "labels": labels, "matrix": [list(r) for r in matrix]},
+        lambda: "\n".join(
+            ["columns: " + " ".join(labels)]
+            + [f"{label}: " + " ".join(str(v) for v in row) for label, row in zip(labels, matrix)]
+        ),
+    )
 
 
-def _cmd_chi(args) -> int:
-    doc = _load(args.complex_file, "complex")
+def _chi(args, doc) -> None:
     complex_, _ = doc.payload
     cellwise = complex_.chi_cellwise()
-    strata = complex_.chi_strata()
-    if cellwise != strata:
+    if cellwise != complex_.chi_strata():
         raise EqzetaError("internal: the two Euler characteristic routes disagree")
-    if args.fmt == "structured":
-        _emit(documents.structured_burnside(doc.raw_group, cellwise))
-    else:
-        print(cellwise.render())
-    return 0
+    _show(args.fmt, lambda: documents.structured_burnside(doc.raw_group, cellwise), cellwise.render)
 
 
-def _cmd_classify(args) -> int:
-    doc = _load(args.gperm_file, "gperm")
-    _print_zg(doc, classify(doc.payload), args.fmt)
-    return 0
-
-
-def _cmd_lefschetz(args) -> int:
-    doc = _load(args.gperm_file, "gperm")
+def _lefschetz(args, doc) -> None:
     table = lefschetz_table(doc.payload, args.m_max)
-    if args.fmt == "structured":
-        _emit(documents.structured_lefschetz(doc.raw_group, table))
-    else:
-        group = doc.group
-        print(f"m_max: {table.m_max}")
-        for (h, m, a), v in sorted(table.entries.items()):
-            print(f"H={group.subgroup_label(h)} m={m} a={group.labels[a]}: {v}")
-    return 0
+    group = doc.group
+    _show(
+        args.fmt,
+        lambda: documents.structured_lefschetz(doc.raw_group, table),
+        lambda: "\n".join(
+            [f"m_max: {table.m_max}"]
+            + [
+                f"H={group.subgroup_label(h)} m={m} a={group.labels[a]}: {v}"
+                for (h, m, a), v in sorted(table.entries.items())
+            ]
+        ),
+    )
 
 
-def _cmd_zeta_solve(args) -> int:
-    doc = _load(args.lefschetz_file, "lefschetz")
-    _print_zg(doc, zeta_from_lefschetz(doc.payload), args.fmt)
-    return 0
-
-
-def _cmd_zeta_complex(args) -> int:
-    doc = _load(args.complex_file, "complex")
+def _brute_zeta(args, doc) -> ZGRingElement:
     complex_, cellular_map = doc.payload
     if cellular_map is None:
         raise DocumentError(f"{args.complex_file}: document has no sigma field")
-    _print_zg(doc, brute_zeta(complex_, cellular_map), args.fmt)
-    return 0
+    return brute_zeta(complex_, cellular_map)
 
 
-def _cmd_st(args) -> int:
-    doc, z1, z2 = _binary_operands(args)
-    _print_zg(doc, sebastiani_thom(z1, z2), args.fmt)
-    return 0
-
-
-def _cmd_mul(args) -> int:
-    doc, z1, z2 = _binary_operands(args)
-    _print_zg(doc, z1 * z2, args.fmt)
-    return 0
-
-
-def _cmd_add(args) -> int:
-    doc, z1, z2 = _binary_operands(args)
-    _print_zg(doc, z1 + z2, args.fmt)
-    return 0
-
-
-def _binary_operands(args) -> tuple[documents.InputDocument, ZGRingElement, ZGRingElement]:
-    doc1 = _load(args.expr_file1, "expr")
-    # the second document is parsed on the first one's group when they agree
-    doc2 = _load(args.expr_file2, "expr", doc1.group)
-    if doc2.group is not doc1.group:
-        raise DocumentError(
-            f"{args.expr_file2}: group differs from {args.expr_file1}; "
-            "binary operations need a common group"
-        )
-    return doc1, doc1.payload, doc2.payload
-
-
-def _cmd_acampo(args) -> int:
-    doc = _load(args.strata_file, "strata")
-    _print_zg(doc, acampo(doc.group, doc.payload), args.fmt)
-    return 0
-
-
-def _cmd_forget(args) -> int:
-    doc = _load(args.expr_file, "expr")
+def _forget(args, doc) -> None:
     c = doc.payload.forget_to_classical()
-    if args.fmt == "structured":
-        _emit(documents.structured_classical(c))
-    else:
-        print(c.render())
-    return 0
+    _show(args.fmt, lambda: documents.structured_classical(c), c.render)
+
+
+COMMANDS: tuple[tuple[str, str, tuple[str, ...], Callable[..., None]], ...] = (
+    ("subgroups", "list subgroup classes of a group", ("group",), _subgroups),
+    ("marks", "print the table of marks", ("group",), _marks),
+    ("chi", "equivariant Euler characteristic of a complex", ("complex",), _chi),
+    ("classify", "classify a G-permutation into triples", ("gperm",),
+     _zg(lambda args, doc: classify(doc.payload))),
+    ("lefschetz", "tabulate Lefschetz data of a G-permutation", ("gperm",), _lefschetz),
+    ("zeta-solve", "solve a Lefschetz table for the zeta element", ("lefschetz",),
+     _zg(lambda args, doc: zeta_from_lefschetz(doc.payload))),
+    ("zeta", "brute-force zeta of a cellular map", ("complex",), _zg(_brute_zeta)),
+    ("st", "Sebastiani-Thom combination of two elements", ("expr", "expr"),
+     _zg(lambda args, d1, d2: sebastiani_thom(d1.payload, d2.payload))),
+    ("acampo", "evaluate the exceptional-divisor formula", ("strata",),
+     _zg(lambda args, doc: acampo(doc.group, doc.payload))),
+    ("forget", "classical zeta of an element", ("expr",), _forget),
+    ("mul", "product of two elements", ("expr", "expr"),
+     _zg(lambda args, d1, d2: d1.payload * d2.payload)),
+    ("add", "sum of two elements", ("expr", "expr"),
+     _zg(lambda args, d1, d2: d1.payload + d2.payload)),
+)
 
 
 def main() -> None:

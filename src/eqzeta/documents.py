@@ -11,9 +11,10 @@ parser.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .burnside import BurnsideElement
 from .complexes import GCellularMap, GComplex
@@ -22,9 +23,6 @@ from .gperm import GPermutation, LefschetzTable
 from .groups import FiniteGroup, _loc, build_group
 from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_pair, canonical_triple
 from .zeta import StratumRecord
-
-KINDS = ("group", "gperm", "strata", "lefschetz", "expr", "complex")
-
 
 @dataclass
 class InputDocument:
@@ -65,6 +63,9 @@ def _decode(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # int() of a literal past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"an integer has more than {limit} digits") from None
     except RecursionError:
         raise DocumentError("document is nested too deeply") from None
 
@@ -91,17 +92,7 @@ def parse_object(
     built = _group_from(raw_group, "group", base_dir)
     if group is None or not built.is_same_as(group):
         group = built
-    if kind == "gperm":
-        payload = _parse_gperm(obj, group)
-    elif kind == "strata":
-        payload = _parse_strata(obj, group)
-    elif kind == "lefschetz":
-        payload = _parse_lefschetz(obj, group)
-    elif kind == "expr":
-        payload = _parse_expr(obj, group)
-    else:
-        payload = _parse_complex(obj, group)
-    return InputDocument(kind, group, payload, raw_group)
+    return InputDocument(kind, group, _PARSERS[kind](obj, group), raw_group)
 
 
 # -- field helpers -----------------------------------------------------------
@@ -159,6 +150,18 @@ def _wrap(path: str, exc: EqzetaError) -> DocumentError:
     return DocumentError(f"{path}: {exc}")
 
 
+def _objects(obj: dict, key: str) -> Iterator[tuple[str, dict]]:
+    """(path, item) for each item of the array of objects ``obj[key]``."""
+    raw = _need(obj, key, "")
+    if not isinstance(raw, list):
+        raise DocumentError(f"{key}: expected an array")
+    for i, item in enumerate(raw):
+        path = _loc(key, i)
+        if not isinstance(item, dict):
+            raise DocumentError(f"{path}: expected an object")
+        yield path, item
+
+
 # -- per-kind parsers --------------------------------------------------------
 
 
@@ -204,14 +207,8 @@ def _parse_gperm(obj: dict, group: FiniteGroup) -> GPermutation:
 
 
 def _parse_strata(obj: dict, group: FiniteGroup) -> list[StratumRecord]:
-    raw = _need(obj, "strata", "")
-    if not isinstance(raw, list):
-        raise DocumentError("strata: expected an array")
     records = []
-    for i, item in enumerate(raw):
-        path = _loc("strata", i)
-        if not isinstance(item, dict):
-            raise DocumentError(f"{path}: expected an object")
+    for path, item in _objects(obj, "strata"):
         record = StratumRecord(
             chi=_int_field(item, "chi", path),
             m=_int_field(item, "m", path),
@@ -231,21 +228,15 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
     m_max = _int_field(obj, "m_max", "")
     if m_max < 1:
         raise DocumentError("m_max: must be positive")
-    raw = _need(obj, "entries", "")
-    if not isinstance(raw, list):
-        raise DocumentError("entries: expected an array")
-    classes = group.subgroup_classes.classes
     by_pair: dict[tuple[int, int, int], int] = {}
     source: dict[tuple[int, int, int], str] = {}
-    for i, item in enumerate(raw):
-        path = _loc("entries", i)
-        if not isinstance(item, dict):
-            raise DocumentError(f"{path}: expected an object")
+    for path, item in _objects(obj, "entries"):
         h_value = _need(item, "H", path)
         if isinstance(h_value, list):
             elems, cls = _elements(group, h_value, _loc(path, "H")), None
         else:
             cls = _int_field(item, "H", path)
+            classes = group.subgroup_classes.classes
             if not 0 <= cls < len(classes):
                 raise DocumentError(f"{_loc(path, 'H')}: class id {cls} out of range")
             elems = classes[cls].elements
@@ -282,14 +273,8 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
 
 
 def _parse_expr(obj: dict, group: FiniteGroup) -> ZGRingElement:
-    raw = _need(obj, "terms", "")
-    if not isinstance(raw, list):
-        raise DocumentError("terms: expected an array")
     coeffs: dict[TripleClass, int] = {}
-    for i, item in enumerate(raw):
-        path = _loc("terms", i)
-        if not isinstance(item, dict):
-            raise DocumentError(f"{path}: expected an object")
+    for path, item in _objects(obj, "terms"):
         coeff = _int_field(item, "coeff", path)
         elems = _elements(group, _need(item, "H", path), _loc(path, "H"))
         m = _int_field(item, "m", path)
@@ -347,6 +332,17 @@ def _parse_complex(obj: dict, group: FiniteGroup) -> tuple[GComplex, GCellularMa
         except EqzetaError as exc:
             raise _wrap("sigma", exc) from None
     return complex_, cellular_map
+
+
+# the payload parser of each kind but "group"
+_PARSERS: dict[str, Callable[[dict, FiniteGroup], Any]] = {
+    "gperm": _parse_gperm,
+    "strata": _parse_strata,
+    "lefschetz": _parse_lefschetz,
+    "expr": _parse_expr,
+    "complex": _parse_complex,
+}
+KINDS = ("group", *_PARSERS)  # in the order diagnostics list them
 
 
 # -- rendering ---------------------------------------------------------------

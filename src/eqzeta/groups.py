@@ -565,7 +565,12 @@ def from_permutations(
         if sorted(t) != list(range(n_points)):
             raise GroupError(f"generator {i} is not a bijection on {n_points} points")
         gens.append(t)
-    identity = tuple(range(n_points)) if gens else ()  # composed only with a generator
+    # the group acts faithfully on the points some generator moves, so elements
+    # are composed there only: the cost does not follow n_points
+    moved = sorted({x for g in gens for x in range(n_points) if g[x] != x})
+    at = {x: i for i, x in enumerate(moved)}
+    gens = [tuple(at[g[x]] for x in moved) for g in gens]
+    identity = tuple(range(len(moved)))
     elems = [identity]
     index = {identity: 0}
     frontier = [identity]

@@ -541,3 +541,118 @@ def test_image_of_an_identity_or_repeated_generator_is_checked(capsys, tmp_path,
     command = "classify" if doc["kind"] == "gperm" else "chi"
     code, out, err = run(capsys, command, str(path))
     assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+
+# -- the command table's loader and parser ------------------------------------
+
+# a fixture of each kind
+_OF_KIND = {
+    "group": "group_c2.json",
+    "gperm": "gperm_c2_swap.json",
+    "strata": "strata_x2_c2.json",
+    "lefschetz": "lefschetz_3cycle.json",
+    "expr": "expr_twisted_c2.json",
+    "complex": "complex_square_c2.json",
+}
+_READS = {
+    "subgroups": ["group"], "marks": ["group"], "chi": ["complex"], "classify": ["gperm"],
+    "lefschetz": ["gperm"], "zeta-solve": ["lefschetz"], "zeta": ["complex"],
+    "st": ["expr", "expr"], "acampo": ["strata"], "forget": ["expr"],
+    "mul": ["expr", "expr"], "add": ["expr", "expr"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, position",
+    [(c, i) for c, kinds in _READS.items() for i in range(len(kinds))],
+)
+def test_every_command_names_a_document_of_the_wrong_kind(capsys, command, position):
+    kinds = _READS[command]
+    wanted = kinds[position]
+    for other in _OF_KIND:
+        if other == wanted:
+            continue
+        argv = [fx(_OF_KIND[k]) for k in kinds]
+        argv[position] = fx(_OF_KIND[other])
+        assert run(capsys, command, *argv) == (
+            1, "", f"error: {argv[position]}: expected a '{wanted}' document, got '{other}'\n"
+        )
+
+
+def test_zeta_of_a_complex_without_sigma_is_an_error(capsys):
+    path = fx("complex_square_reflection.json")
+    assert run(capsys, "zeta", path) == (1, "", f"error: {path}: document has no sigma field\n")
+
+
+@pytest.mark.parametrize("command", ["add", "mul", "st"])
+def test_differing_groups_message(capsys, command):
+    first, second = fx("expr_m2_trivial.json"), fx("expr_twisted_c2.json")
+    assert run(capsys, command, first, second) == (
+        1,
+        "",
+        f"error: {second}: group differs from {first}; binary operations need a common group\n",
+    )
+
+
+_FORMAT = "[-h] [--format {text,structured}]"
+
+
+_USAGES = [
+    (
+        [],
+        "usage: eqzeta [-h]\n"
+        "              {subgroups,marks,chi,classify,lefschetz,zeta-solve,zeta,st,acampo,"
+        "forget,mul,add}\n"
+        "              ...",
+    ),
+    (["subgroups"], f"usage: eqzeta subgroups {_FORMAT} group_file"),
+    (["marks"], f"usage: eqzeta marks {_FORMAT} group_file"),
+    (["chi"], f"usage: eqzeta chi {_FORMAT} complex_file"),
+    (["classify"], f"usage: eqzeta classify {_FORMAT} gperm_file"),
+    (
+        ["lefschetz"],
+        "usage: eqzeta lefschetz [-h] [--m-max M_MAX] [--format {text,structured}] gperm_file",
+    ),
+    (["zeta-solve"], f"usage: eqzeta zeta-solve {_FORMAT} lefschetz_file"),
+    (["zeta"], f"usage: eqzeta zeta {_FORMAT} complex_file"),
+    (["st"], f"usage: eqzeta st {_FORMAT} expr_file1 expr_file2"),
+    (["acampo"], f"usage: eqzeta acampo {_FORMAT} strata_file"),
+    (["forget"], f"usage: eqzeta forget {_FORMAT} expr_file"),
+    (["mul"], f"usage: eqzeta mul {_FORMAT} expr_file1 expr_file2"),
+    (["add"], f"usage: eqzeta add {_FORMAT} expr_file1 expr_file2"),
+]
+
+
+@pytest.mark.parametrize("argv, usage", _USAGES, ids=[" ".join(a) or "top" for a, _ in _USAGES])
+def test_help_usage_lines(capsys, monkeypatch, argv, usage):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps usage at the terminal width
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.split("\n\n")[0] == usage
+
+
+def test_integer_past_the_conversion_limit_in_a_document_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "long_coeff.json"
+    path.write_text(
+        '{"kind": "expr", "group": {"type": "cyclic", "n": 1}, '
+        '"terms": [{"coeff": ' + "7" * 5000 + ', "H": [0], "m": 1, "alpha": 0}]}'
+    )
+    code, out, err = run(capsys, "forget", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: an integer has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_answer_past_the_conversion_limit_is_one_error_line(capsys, tmp_path, fmt):
+    # the square of a 2201-digit coefficient has 4402 digits
+    path = tmp_path / "long_coeff.json"
+    path.write_text(
+        '{"kind": "expr", "group": {"type": "cyclic", "n": 1}, '
+        '"terms": [{"coeff": ' + "9" * 2201 + ', "H": [0], "m": 1, "alpha": 0}]}'
+    )
+    code, out, err = run(capsys, "mul", str(path), str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: the answer holds an integer of more than {limit} digits, too long to print\n"
+    )

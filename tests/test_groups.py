@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 
@@ -695,3 +696,43 @@ def test_marks_and_subconjugacy_match_oracles_on_d4xd4():
     assert len(reps) == 214
     assert group.table_of_marks.matrix == oracle_marks(group, reps)
     assert group.subgroup_classes.subconjugacy == oracle_subconjugacy(group, reps)
+
+
+def test_permutation_groups_compose_only_the_moved_points(monkeypatch, capsys, tmp_path):
+    # S5 on five of 20000 points: elements are composed on the moved points
+    # only, so the work and the answer are those of S5 on 5 points
+    from eqzeta import groups
+    from eqzeta.cli import run_command
+
+    small = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+    where = [3, 700, 19999, 12, 5000]  # point i of the small action sits at where[i]
+    large = []
+    for g in small:
+        image = list(range(20000))
+        for i, x in enumerate(where):
+            image[x] = where[g[i]]
+        large.append(image)
+    composed = Counter()
+    compose = groups._compose
+
+    def counting(p, q):
+        composed["entries"] += len(q)
+        if composed["entries"] > 200000:  # S5 on 5 points composes 120 * 122 * 5
+            raise AssertionError("composition follows the point count")
+        return compose(p, q)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(groups, "_compose", counting)
+        built = [eq.from_permutations(n, gens) for n, gens in ((5, small), (20000, large))]
+    assert composed["entries"] <= 2 * 120 * 122 * 5
+    a, b = built
+    assert a.order == b.order == 120 and a.generators == b.generators
+    assert all(a.mul(x, y) == b.mul(x, y) for x in range(120) for y in range(120))
+    outputs = []
+    for n, gens in ((5, small), (20000, large)):
+        path = tmp_path / f"s5_on_{n}.json"
+        path.write_text(json.dumps({"kind": "group", "type": "perm-gens", "points": n,
+                                    "generators": gens}))
+        assert run_command(["subgroups", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
