@@ -12,15 +12,28 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import documents
-from .complexes import brute_zeta
+from . import _forward, documents
 from .errors import DocumentError, EqzetaError
-from .gperm import classify, lefschetz_table
-from .zeta import acampo, sebastiani_thom, zeta_from_lefschetz
-from .zg import ZGRingElement
+
+if TYPE_CHECKING:
+    from .zg import ZGRingElement
+
+# Handlers import the compute modules they call, so a command loads only what
+# it runs.  These names still resolve as attributes of this module, for code
+# that reads or wraps them here (PEP 562).
+__getattr__ = _forward(globals(), {
+    "brute_zeta": "complexes",
+    "classify": "gperm",
+    "lefschetz_table": "gperm",
+    "acampo": "zeta",
+    "sebastiani_thom": "zeta",
+    "zeta_from_lefschetz": "zeta",
+    "ZGRingElement": "zg",
+})
 
 
 def _show(fmt: str, structured: Callable[[], dict], text: Callable[[], str]) -> None:
@@ -94,8 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- handlers: (args, *documents) -> None; compute functions are looked up by
-# name at each call, so that a wrapper installed on the module is the one called
+# -- handlers: (args, *documents) -> None; compute functions are imported from
+# their module at each call, so that a wrapper installed on the module is the
+# one called
 
 
 def _zg(compute: Callable[..., ZGRingElement]) -> Callable[..., None]:
@@ -153,6 +167,8 @@ def _chi(args, doc) -> None:
 
 
 def _lefschetz(args, doc) -> None:
+    from .gperm import lefschetz_table
+
     table = lefschetz_table(doc.payload, args.m_max)
     group = doc.group
     _show(
@@ -168,11 +184,37 @@ def _lefschetz(args, doc) -> None:
     )
 
 
+def _classify(args, doc) -> ZGRingElement:
+    from .gperm import classify
+
+    return classify(doc.payload)
+
+
+def _zeta_solve(args, doc) -> ZGRingElement:
+    from .zeta import zeta_from_lefschetz
+
+    return zeta_from_lefschetz(doc.payload)
+
+
 def _brute_zeta(args, doc) -> ZGRingElement:
+    from .complexes import brute_zeta
+
     complex_, cellular_map = doc.payload
     if cellular_map is None:
         raise DocumentError(f"{args.complex_file}: document has no sigma field")
     return brute_zeta(complex_, cellular_map)
+
+
+def _sebastiani_thom(args, d1, d2) -> ZGRingElement:
+    from .zeta import sebastiani_thom
+
+    return sebastiani_thom(d1.payload, d2.payload)
+
+
+def _acampo(args, doc) -> ZGRingElement:
+    from .zeta import acampo
+
+    return acampo(doc.group, doc.payload)
 
 
 def _forget(args, doc) -> None:
@@ -184,16 +226,14 @@ COMMANDS: tuple[tuple[str, str, tuple[str, ...], Callable[..., None]], ...] = (
     ("subgroups", "list subgroup classes of a group", ("group",), _subgroups),
     ("marks", "print the table of marks", ("group",), _marks),
     ("chi", "equivariant Euler characteristic of a complex", ("complex",), _chi),
-    ("classify", "classify a G-permutation into triples", ("gperm",),
-     _zg(lambda args, doc: classify(doc.payload))),
+    ("classify", "classify a G-permutation into triples", ("gperm",), _zg(_classify)),
     ("lefschetz", "tabulate Lefschetz data of a G-permutation", ("gperm",), _lefschetz),
     ("zeta-solve", "solve a Lefschetz table for the zeta element", ("lefschetz",),
-     _zg(lambda args, doc: zeta_from_lefschetz(doc.payload))),
+     _zg(_zeta_solve)),
     ("zeta", "brute-force zeta of a cellular map", ("complex",), _zg(_brute_zeta)),
     ("st", "Sebastiani-Thom combination of two elements", ("expr", "expr"),
-     _zg(lambda args, d1, d2: sebastiani_thom(d1.payload, d2.payload))),
-    ("acampo", "evaluate the exceptional-divisor formula", ("strata",),
-     _zg(lambda args, doc: acampo(doc.group, doc.payload))),
+     _zg(_sebastiani_thom)),
+    ("acampo", "evaluate the exceptional-divisor formula", ("strata",), _zg(_acampo)),
     ("forget", "classical zeta of an element", ("expr",), _forget),
     ("mul", "product of two elements", ("expr", "expr"),
      _zg(lambda args, d1, d2: d1.payload * d2.payload)),
@@ -203,7 +243,16 @@ COMMANDS: tuple[tuple[str, str, tuple[str, ...], Callable[..., None]], ...] = (
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader went away (say, `| head -1`); point stdout at devnull so
+        # that the flush at exit does not fail again, as the Python docs advise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

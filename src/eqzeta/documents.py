@@ -11,29 +11,55 @@ parser.
 from __future__ import annotations
 
 import json
+import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .burnside import BurnsideElement
-from .complexes import GCellularMap, GComplex
+from . import _forward
 from .errors import DocumentError, EqzetaError
-from .gperm import GPermutation, LefschetzTable
 from .groups import FiniteGroup, _loc, build_group
-from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_pair, canonical_triple
-from .zeta import StratumRecord
+from .records import Record
 
-@dataclass
-class InputDocument:
-    kind: str
-    group: FiniteGroup
-    payload: Any
-    raw_group: Any
+if TYPE_CHECKING:
+    from .burnside import BurnsideElement
+    from .complexes import GCellularMap, GComplex
+    from .gperm import GPermutation, LefschetzTable
+    from .zeta import StratumRecord
+    from .zg import ClassicalZeta, TripleClass, ZGRingElement
+
+# Each kind's parser imports the modules of its kind, so a command loads only
+# what its documents need.  These names still resolve as attributes of this
+# module, for code that reads or wraps them here (PEP 562).
+__getattr__ = _forward(globals(), {
+    "BurnsideElement": "burnside",
+    "GCellularMap": "complexes",
+    "GComplex": "complexes",
+    "GPermutation": "gperm",
+    "LefschetzTable": "gperm",
+    "ClassicalZeta": "zg",
+    "TripleClass": "zg",
+    "ZGRingElement": "zg",
+    "canonical_pair": "zg",
+    "canonical_triple": "zg",
+    "StratumRecord": "zeta",
+})
+
+
+class InputDocument(Record):
+    __slots__ = ("kind", "group", "payload", "raw_group")
+
+    def __init__(self, kind: str, group: FiniteGroup, payload: Any, raw_group: Any) -> None:
+        self.kind = kind
+        self.group = group
+        self.payload = payload
+        self.raw_group = raw_group
+
+    def _key(self) -> tuple:
+        return (self.kind, self.group, self.payload, self.raw_group)
 
 
 def parse_document(
-    text: str, base_dir: str | Path | None = None, group: FiniteGroup | None = None
+    text: str, base_dir: str | os.PathLike | None = None, group: FiniteGroup | None = None
 ) -> InputDocument:
     """Parse and validate a document, or raise DocumentError with a location.
 
@@ -45,17 +71,19 @@ def parse_document(
         raise DocumentError("document is nested too deeply") from None
 
 
-def parse_document_file(path: str | Path, group: FiniteGroup | None = None) -> InputDocument:
-    path = Path(path)
+def parse_document_file(path: str | os.PathLike, group: FiniteGroup | None = None) -> InputDocument:
     text = _read(path)
-    return _in_file(path, lambda: parse_document(text, base_dir=path.parent, group=group))
+    return _in_file(path, lambda: parse_document(text, base_dir=os.path.dirname(path), group=group))
 
 
-def _read(path: Path) -> str:
+def _read(path: str | os.PathLike) -> str:
     try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # a NUL in the path, which the repr shows escaped
+        raise DocumentError(f"cannot read {os.fspath(path)!r}: {exc}") from None
 
 
 def _decode(text: str) -> Any:
@@ -70,7 +98,7 @@ def _decode(text: str) -> Any:
         raise DocumentError("document is nested too deeply") from None
 
 
-def _in_file(path: Path, parse: Callable[[], Any]) -> Any:
+def _in_file(path: str | os.PathLike, parse: Callable[[], Any]) -> Any:
     """``parse()``, with its DocumentError prefixed by the file."""
     try:
         return parse()
@@ -79,7 +107,7 @@ def _in_file(path: Path, parse: Callable[[], Any]) -> Any:
 
 
 def parse_object(
-    obj: Any, base_dir: str | Path | None = None, group: FiniteGroup | None = None
+    obj: Any, base_dir: str | os.PathLike | None = None, group: FiniteGroup | None = None
 ) -> InputDocument:
     if not isinstance(obj, dict):
         raise DocumentError("document root must be an object")
@@ -165,17 +193,15 @@ def _objects(obj: dict, key: str) -> Iterator[tuple[str, dict]]:
 # -- per-kind parsers --------------------------------------------------------
 
 
-def _group_from(value: Any, path: str, base_dir: str | Path | None) -> FiniteGroup:
+def _group_from(value: Any, path: str, base_dir: str | os.PathLike | None) -> FiniteGroup:
     if isinstance(value, str):
-        ref = Path(value)
-        if base_dir is not None and not ref.is_absolute():
-            ref = Path(base_dir) / ref
+        ref = value if base_dir is None else os.path.join(base_dir, value)
         text = _read(ref)
         obj = _in_file(ref, lambda: _decode(text))
         # the kind is read first, so no other document is built, nor its references
         if isinstance(obj, dict) and obj.get("kind") in KINDS and obj["kind"] != "group":
             raise DocumentError(f"{path}: referenced document is not a group")
-        return _in_file(ref, lambda: parse_object(obj, base_dir=ref.parent)).group
+        return _in_file(ref, lambda: parse_object(obj, base_dir=os.path.dirname(ref))).group
     if not isinstance(value, dict):
         raise DocumentError(f"{path}: expected a group object or a path string")
     if "kind" in value and value["kind"] != "group":
@@ -187,6 +213,8 @@ def _group_from(value: Any, path: str, base_dir: str | Path | None) -> FiniteGro
 
 
 def _parse_gperm(obj: dict, group: FiniteGroup) -> GPermutation:
+    from .gperm import GPermutation
+
     n = _int_field(obj, "points", "")
     if n < 0:
         raise DocumentError("points: must be nonnegative")
@@ -207,6 +235,8 @@ def _parse_gperm(obj: dict, group: FiniteGroup) -> GPermutation:
 
 
 def _parse_strata(obj: dict, group: FiniteGroup) -> list[StratumRecord]:
+    from .zeta import StratumRecord
+
     records = []
     for path, item in _objects(obj, "strata"):
         record = StratumRecord(
@@ -225,6 +255,9 @@ def _parse_strata(obj: dict, group: FiniteGroup) -> list[StratumRecord]:
 
 
 def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
+    from .gperm import LefschetzTable
+    from .zg import canonical_pair
+
     m_max = _int_field(obj, "m_max", "")
     if m_max < 1:
         raise DocumentError("m_max: must be positive")
@@ -273,6 +306,8 @@ def _parse_lefschetz(obj: dict, group: FiniteGroup) -> LefschetzTable:
 
 
 def _parse_expr(obj: dict, group: FiniteGroup) -> ZGRingElement:
+    from .zg import ZGRingElement, canonical_triple
+
     coeffs: dict[TripleClass, int] = {}
     for path, item in _objects(obj, "terms"):
         coeff = _int_field(item, "coeff", path)
@@ -288,6 +323,8 @@ def _parse_expr(obj: dict, group: FiniteGroup) -> ZGRingElement:
 
 
 def _parse_complex(obj: dict, group: FiniteGroup) -> tuple[GComplex, GCellularMap | None]:
+    from .complexes import GCellularMap, GComplex
+
     cells = _as_int_list(_need(obj, "cells", ""), "cells")
     raw_boundary = _need(obj, "boundary", "")
     if not isinstance(raw_boundary, list) or len(raw_boundary) != len(cells):

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .burnside import BurnsideElement, GSet, extend_action, permutation_orbits
 from .errors import ActionError, EqzetaError
 from .groups import FiniteGroup
+from .records import Record
 from .zg import TripleClass, ZGRingElement, coset_model_row, orbit_triple, triple_rep, triple_z_period
 
 
@@ -258,8 +258,7 @@ def equivariant_lefschetz(g: int, p: GPermutation) -> BurnsideElement:
     return GSet(group, len(fixed), act, validate=False).burnside_class()
 
 
-@dataclass
-class LefschetzTable:
+class LefschetzTable(Record):
     """Fixed-unit counts indexed by (subgroup class, m, alpha coset).
 
     The entry at (class of H, m, coset of a in N(H)) counts the N(H)-orbits
@@ -275,12 +274,15 @@ class LefschetzTable:
     values are constant on simultaneous conjugation of (H, a).
     """
 
-    group: FiniteGroup
-    m_max: int
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("group", "m_max", "entries")
 
-    def __post_init__(self) -> None:
-        self.entries = {k: v for k, v in self.entries.items() if v}
+    def __init__(self, group: FiniteGroup, m_max: int, entries: dict | None = None) -> None:
+        self.group = group
+        self.m_max = m_max
+        self.entries = {k: v for k, v in entries.items() if v} if entries else {}
+
+    def _key(self) -> tuple:
+        return (self.group, self.m_max, self.entries)
 
     def get(self, h_class: int, m: int, alpha: int) -> int:
         return self.entries.get((h_class, m, alpha), 0)

@@ -20,20 +20,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GroupError
+from .records import FrozenRecord
 
 DEFAULT_ORDER_BOUND = 5040
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(FrozenRecord):
     """A subgroup given by its sorted element indices."""
 
-    elements: tuple[int, ...]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        object.__setattr__(self, "elements", elements)
+
+    def _key(self) -> tuple:
+        return (self.elements,)
 
     @property
     def order(self) -> int:
@@ -43,8 +48,7 @@ class Subgroup:
         return g in self.elements
 
 
-@dataclass(frozen=True)
-class SubgroupClassTable:
+class SubgroupClassTable(FrozenRecord):
     """Conjugacy classes of subgroups with canonical representatives.
 
     Classes are sorted by (order, element tuple); every representative is the
@@ -60,11 +64,24 @@ class SubgroupClassTable:
     equality or repr.
     """
 
-    classes: tuple[Subgroup, ...]
-    class_sizes: tuple[int, ...]
-    normalizers: tuple[tuple[int, ...], ...]
-    # every subgroup -> (class id, c) with subgroup = c classes[k] c^-1
-    _conjugator: Mapping[tuple[int, ...], tuple[int, int]] = field(compare=False, repr=False)
+    # the cached properties live in __dict__
+    __slots__ = ("classes", "class_sizes", "normalizers", "_conjugator", "__dict__")
+
+    def __init__(
+        self,
+        classes: tuple[Subgroup, ...],
+        class_sizes: tuple[int, ...],
+        normalizers: tuple[tuple[int, ...], ...],
+        # every subgroup -> (class id, c) with subgroup = c classes[k] c^-1
+        _conjugator: Mapping[tuple[int, ...], tuple[int, int]],
+    ) -> None:
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_sizes", class_sizes)
+        object.__setattr__(self, "normalizers", normalizers)
+        object.__setattr__(self, "_conjugator", _conjugator)
+
+    def _key(self) -> tuple:
+        return (self.classes, self.class_sizes, self.normalizers)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -99,8 +116,7 @@ class SubgroupClassTable:
         return tuple(tuple(v > 0 for v in column) for column in zip(*self._marks.matrix))
 
 
-@dataclass(frozen=True)
-class TableOfMarks:
+class TableOfMarks(FrozenRecord):
     """Matrix of fixed-coset counts.
 
     ``matrix[k][h]`` is the number of cosets in G/K fixed by H, for the class
@@ -117,7 +133,13 @@ class TableOfMarks:
     class order, with positive diagonal [N(K):K] and first column [G:K].
     """
 
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "matrix", matrix)
+
+    def _key(self) -> tuple:
+        return (self.matrix,)
 
 
 def _check_order(order: int, order_bound: int) -> None:

@@ -22,12 +22,12 @@ recursion L(phi^m) = sum_{i|m} r_i with r_m = m * s_m.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EqzetaError, StratumError, TableError
 from .gperm import GPermutation, LefschetzTable, _column_entries, predicted_table
 from .groups import FiniteGroup, Subgroup
+from .records import FrozenRecord
 from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_triple, triple_index
 
 
@@ -143,8 +143,7 @@ def sebastiani_thom(z1: ZGRingElement, z2: ZGRingElement) -> ZGRingElement:
     return z1 + z2 - z1 * z2
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(FrozenRecord):
     """Per-stratum input for the exceptional-divisor formula.
 
     ``chi`` is the Euler characteristic of the stratum, ``m`` the multiplicity
@@ -156,11 +155,17 @@ class StratumRecord:
     geometric choice and trusts the record.
     """
 
-    chi: int
-    m: int
-    n: int
-    subgroup: tuple[int, ...]
-    alpha: int
+    __slots__ = ("chi", "m", "n", "subgroup", "alpha")
+
+    def __init__(self, chi: int, m: int, n: int, subgroup: tuple[int, ...], alpha: int) -> None:
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "alpha", alpha)
+
+    def _key(self) -> tuple:
+        return (self.chi, self.m, self.n, self.subgroup, self.alpha)
 
     def validate(self, group: FiniteGroup) -> None:
         if self.m < 1 or self.n < 1:

@@ -28,16 +28,17 @@ never expanded into polynomial coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
 from .burnside import Combination, permutation_orbits
 from .errors import EqzetaError, GroupError
 from .groups import FiniteGroup, Subgroup
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True, order=True)
-class TripleClass:
+@total_ordering
+class TripleClass(FrozenRecord):
     """Canonical triple (H, m, alpha) naming a conjugacy class of
     finite-index subgroups of Z x G.
 
@@ -46,9 +47,20 @@ class TripleClass:
     meaningful together with the group they were canonicalized for.
     """
 
-    h_class: int
-    m: int
-    alpha: int
+    __slots__ = ("h_class", "m", "alpha")
+
+    def __init__(self, h_class: int, m: int, alpha: int) -> None:
+        object.__setattr__(self, "h_class", h_class)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "alpha", alpha)
+
+    def _key(self) -> tuple:
+        return (self.h_class, self.m, self.alpha)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
 
 
 def canonical_pair(group: FiniteGroup, h_elems: Sequence[int], a: int) -> tuple[int, int]:
@@ -307,8 +319,7 @@ def orbit_triple(
     return canonical_triple(group, stab, j * m, group.mul(group.inv(back[z]), a_j))
 
 
-@dataclass(frozen=True)
-class ClassicalZeta:
+class ClassicalZeta(FrozenRecord):
     """A rational function prod (1 - t^m)^{s_m} with finite support.
 
     ``factors`` holds (m, s_m) pairs sorted by m with all s_m nonzero.  The
@@ -316,7 +327,13 @@ class ClassicalZeta:
     functions, i.e. exponentwise addition.
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[int, int], ...] = ()) -> None:
+        object.__setattr__(self, "factors", factors)
+
+    def _key(self) -> tuple:
+        return (self.factors,)
 
     @classmethod
     def from_exponents(cls, exps: Mapping[int, int]) -> "ClassicalZeta":

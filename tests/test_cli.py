@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -656,3 +657,42 @@ def test_answer_past_the_conversion_limit_is_one_error_line(capsys, tmp_path, fm
     assert err == (
         f"error: the answer holds an integer of more than {limit} digits, too long to print\n"
     )
+
+
+def test_a_document_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
+    group = tmp_path / "group.json"
+    group.write_bytes(b'{"kind": "group", "type": "cyclic", "n": 2, "note": "\xff"}')
+    gperm = tmp_path / "gperm.json"
+    gperm.write_text(json.dumps(
+        {"kind": "gperm", "group": "group.json", "points": 2, "action": [[1, 0]], "sigma": [0, 1]}
+    ))
+    reason = "'utf-8' codec can't decode byte 0xff in position 53: invalid start byte"
+    code, out, err = run(capsys, "subgroups", str(group))
+    assert (code, out, err) == (1, "", f"error: cannot read {group}: {reason}\n")
+    code, out, err = run(capsys, "classify", str(gperm))  # through a group reference
+    assert (code, out, err) == (1, "", f"error: {gperm}: cannot read {group}: {reason}\n")
+
+
+def test_a_group_path_holding_a_nul_is_one_error_line(capsys, tmp_path):
+    gperm = tmp_path / "gperm.json"
+    gperm.write_text(json.dumps(
+        {"kind": "gperm", "group": "a\u0000b.json", "points": 0, "action": [[]], "sigma": []}
+    ))
+    code, out, err = run(capsys, "classify", str(gperm))
+    # the path is shown escaped, so no NUL reaches the terminal
+    ref = repr(str(tmp_path / "a\0b.json"))
+    assert (code, out, err) == (1, "", f"error: {gperm}: cannot read {ref}: embedded null byte\n")
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "eqzeta", "marks", fx("group_d4.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
