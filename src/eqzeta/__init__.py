@@ -17,7 +17,7 @@ _EXPORTS = {
     "burnside": ("BurnsideElement", "GSet", "class_of_gset"),
     "cli": ("run_command",),
     "complexes": ("GCellularMap", "GComplex", "brute_zeta", "pair_lefschetz_table"),
-    "documents": ("InputDocument", "parse_document", "parse_document_file"),
+    "documents": ("InputDocument", "build_group", "parse_document", "parse_document_file"),
     "errors": (
         "ActionError", "DocumentError", "EqzetaError", "GroupError", "RegularityError",
         "StratumError", "TableError",
@@ -27,8 +27,8 @@ _EXPORTS = {
         "lefschetz_table", "realize", "realize_element", "validate", "zg_orbits",
     ),
     "groups": (
-        "FiniteGroup", "Subgroup", "SubgroupClassTable", "TableOfMarks", "build_group",
-        "cyclic", "dihedral", "from_permutations", "product", "symmetric", "trivial",
+        "FiniteGroup", "Subgroup", "SubgroupClassTable", "TableOfMarks", "cyclic", "dihedral",
+        "from_permutations", "product", "symmetric", "trivial",
     ),
     "zeta": (
         "StratumRecord", "acampo", "classical_from_lefschetz", "classical_lefschetz_numbers",

@@ -1,11 +1,12 @@
 """Document schemas, parsing and rendering for the command-line tool.
 
 Documents are JSON objects with an explicit ``kind`` tag: group, gperm,
-strata, lefschetz, expr, or complex.  Group references inside other
-documents are either an inline group object or a path string relative to
-the referencing file.  Diagnostics carry a field path such as
-``strata[2].n`` and, for syntax errors, the line reported by the JSON
-parser.
+strata, lefschetz, expr, or complex.  This module parses every kind, group
+descriptions included (``build_group``), with one set of field helpers.
+Group references inside other documents are either an inline group object
+or a path string relative to the referencing file.  Diagnostics carry a
+field path such as ``strata[2].n`` or ``group: factors[1].n`` and, for
+syntax errors, the line reported by the JSON parser.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import _forward
-from .errors import DocumentError, EqzetaError
-from .groups import FiniteGroup, _loc, build_group
+from .errors import DocumentError, EqzetaError, GroupError
+from .groups import FiniteGroup, cyclic, dihedral, from_permutations, product, symmetric
 from .records import Record
 
 if TYPE_CHECKING:
@@ -126,6 +127,13 @@ def parse_object(
 # -- field helpers -----------------------------------------------------------
 
 
+def _loc(path: str, key: str | int) -> str:
+    """The path of ``key`` in a document, as diagnostics print it: ``factors[1].n``."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
 def _need(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise DocumentError(f"{_loc(path, key)}: missing field")
@@ -143,14 +151,30 @@ def _int_field(obj: dict, key: str, path: str) -> int:
     return value if type(value) is int else _as_int(value, _loc(path, key))
 
 
+def _array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{path}: expected an array")
+    return value
+
+
 def _as_int_list(value: Any, path: str) -> list[int]:
-    """The array; a location is formatted only for an item that fails."""
+    """The array itself, not a copy, so callers must not change it (a group
+    description is echoed in structured output).  Item types are tested at
+    C speed; a location is formatted only for an item that fails."""
     if not isinstance(value, list):
         raise DocumentError(f"{path}: expected an array of integers")
-    for i, x in enumerate(value):
-        if type(x) is not int:
+    if not {int}.issuperset(map(type, value)):
+        for i, x in enumerate(value):
             _as_int(x, _loc(path, i))
-    return list(value)
+    return value
+
+
+def _int_rows(value: Any, path: str) -> list[list[int]]:
+    """An array of integer arrays, as group descriptions give them."""
+    for i, row in enumerate(_array(value, path)):
+        at = _loc(path, i)
+        _as_int_list(_array(row, at), at)
+    return value
 
 
 def _out_of_range(group: FiniteGroup, g: int, path: str) -> DocumentError:
@@ -178,16 +202,60 @@ def _wrap(path: str, exc: EqzetaError) -> DocumentError:
     return DocumentError(f"{path}: {exc}")
 
 
-def _objects(obj: dict, key: str) -> Iterator[tuple[str, dict]]:
+def _objects(obj: dict, key: str, path: str = "") -> Iterator[tuple[str, dict]]:
     """(path, item) for each item of the array of objects ``obj[key]``."""
-    raw = _need(obj, key, "")
-    if not isinstance(raw, list):
-        raise DocumentError(f"{key}: expected an array")
-    for i, item in enumerate(raw):
-        path = _loc(key, i)
+    at = _loc(path, key)
+    for i, item in enumerate(_array(_need(obj, key, path), at)):
         if not isinstance(item, dict):
-            raise DocumentError(f"{path}: expected an object")
-        yield path, item
+            raise DocumentError(f"{_loc(at, i)}: expected an object")
+        yield _loc(at, i), item
+
+
+# -- group descriptions ------------------------------------------------------
+
+
+def build_group(spec: dict) -> FiniteGroup:
+    """The group a description gives (see the document schemas), or GroupError
+    for a malformed or impossible one, naming a malformed field by its path."""
+    try:
+        return _group(spec, "")
+    except DocumentError as exc:
+        raise GroupError(str(exc)) from None
+
+
+def _group(spec: dict, path: str) -> FiniteGroup:
+    """The group ``spec`` describes; ``path`` locates it in the description.
+    Products recurse here, so ``build_group`` runs once per description."""
+    if "kind" in spec and spec["kind"] != "group":
+        raise DocumentError(f"{_loc(path, 'kind')}: expected 'group'")
+    kind = _need(spec, "type", path)
+    if kind in ("cyclic", "dihedral", "symmetric"):
+        build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind]
+        return build(_int_field(spec, "n", path))
+    if kind == "product":
+        if len(_array(_need(spec, "factors", path), _loc(path, "factors"))) < 2:
+            raise DocumentError("product needs at least two factors")
+        group = None
+        for at, factor in _objects(spec, "factors", path):
+            g = _group(factor, at)
+            group = g if group is None else product(group, g)
+        return group
+    if kind == "perm-gens":
+        points = _int_field(spec, "points", path)
+        if points < 0:
+            raise DocumentError(f"{_loc(path, 'points')}: must be nonnegative")
+        at = _loc(path, "generators")
+        return from_permutations(points, _int_rows(_need(spec, "generators", path), at))
+    if kind == "table":
+        mul = _int_rows(_need(spec, "mul", path), _loc(path, "mul"))
+        labels, gens, at = spec.get("labels"), spec.get("generators"), _loc(path, "generators")
+        return FiniteGroup(
+            mul,
+            name=str(spec.get("name", "G")),
+            labels=None if labels is None else _array(labels, _loc(path, "labels")),
+            generators=None if gens is None else _as_int_list(_array(gens, at), at),
+        )
+    raise DocumentError(f"unknown group type {kind!r}")
 
 
 # -- per-kind parsers --------------------------------------------------------
@@ -204,8 +272,6 @@ def _group_from(value: Any, path: str, base_dir: str | os.PathLike | None) -> Fi
         return _in_file(ref, lambda: parse_object(obj, base_dir=os.path.dirname(ref))).group
     if not isinstance(value, dict):
         raise DocumentError(f"{path}: expected a group object or a path string")
-    if "kind" in value and value["kind"] != "group":
-        raise DocumentError(f"{_loc(path, 'kind')}: expected 'group'")
     try:
         return build_group(value)
     except EqzetaError as exc:
@@ -333,10 +399,9 @@ def _parse_complex(obj: dict, group: FiniteGroup) -> tuple[GComplex, GCellularMa
         )
     boundary = []
     for d, per_dim in enumerate(raw_boundary):
-        if not isinstance(per_dim, list):
-            raise DocumentError(f"boundary[{d}]: expected an array")
+        at = _loc("boundary", d)
         boundary.append(
-            [_as_int_list(faces, _loc(_loc("boundary", d), i)) for i, faces in enumerate(per_dim)]
+            [_as_int_list(faces, _loc(at, i)) for i, faces in enumerate(_array(per_dim, at))]
         )
     raw_action = _need(obj, "action", "")
     if not isinstance(raw_action, list) or len(raw_action) != len(group.generators):

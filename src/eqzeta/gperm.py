@@ -385,7 +385,7 @@ def _column(group: FiniteGroup, t: TripleClass, profile: list):
     return d, by_m
 
 
-def _column_entries(group: FiniteGroup, t: TripleClass, m_max: int, profiles: dict):
+def column_entries(group: FiniteGroup, t: TripleClass, m_max: int, profiles: dict):
     """The entries (h, m, a, v) of the basis column of t at levels up to m_max.
 
     ``profiles`` (class id -> ``_coset_profile``) lives for one table or
@@ -406,6 +406,6 @@ def predicted_table(z: ZGRingElement, m_max: int) -> LefschetzTable:
     entries: dict = {}
     profiles: dict = {}
     for t, k in z.coeffs.items():
-        for h, m, a, v in _column_entries(group, t, m_max, profiles):
+        for h, m, a, v in column_entries(group, t, m_max, profiles):
             entries[(h, m, a)] = entries.get((h, m, a), 0) + k * v
     return LefschetzTable(group, m_max, entries)

@@ -1,9 +1,13 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups as explicit multiplication tables, and their builders.
 
 Elements are dense indices ``0..order-1`` and all group data is precomputed
 tables; the groups of interest are tiny, so exactness and simplicity win over
 cleverness.  Composition is "left acts last": for permutation-built groups
 ``mul(a, b)`` is the permutation ``x -> a(b(x))``.
+
+The builders take Python values and raise GroupError for mathematical faults
+only.  Group descriptions are parsed in ``documents``, whose ``build_group``
+also resolves here.
 
 Canonical element orders (fixed so that documents are reproducible):
 
@@ -23,10 +27,14 @@ import math
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from . import _forward
 from .errors import GroupError
 from .records import FrozenRecord
 
 DEFAULT_ORDER_BOUND = 5040
+
+# build_group is read from documents on first use (PEP 562)
+__getattr__ = _forward(globals(), {"build_group": "documents"})
 
 
 class Subgroup(FrozenRecord):
@@ -615,82 +623,3 @@ def from_permutations(
     return FiniteGroup(
         table, name=name, generators=gen_idx, validate=False, order_bound=order_bound
     )
-
-
-def build_group(spec: Mapping, *, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
-    """Build a group from a description mapping (see the document schemas).
-
-    Supported ``type`` values: cyclic, dihedral, symmetric, product,
-    perm-gens, table.
-    """
-    try:
-        return _build_group(spec, order_bound)
-    except KeyError as exc:
-        raise GroupError(f"group description is missing field {exc.args[0]!r}") from None
-
-
-def _loc(path: str, key: str | int) -> str:
-    """The path of ``key`` in a document, as diagnostics print it: ``factors[1].n``."""
-    if isinstance(key, int):
-        return f"{path}[{key}]"
-    return f"{path}.{key}" if path else key
-
-
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GroupError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise GroupError(f"{path}: expected an array")
-    return value
-
-
-def _ints(value, path: str) -> list:
-    """An array of integers; a location is formatted only for an entry that fails."""
-    if not {int}.issuperset(map(type, _list(value, path))):
-        for i, x in enumerate(value):
-            _int(x, _loc(path, i))
-    return value
-
-
-def _int_rows(value, path: str) -> list:
-    return [_ints(row, _loc(path, i)) for i, row in enumerate(_list(value, path))]
-
-
-def _build_group(spec: Mapping, order_bound: int, path: str = "") -> FiniteGroup:
-    """The group ``spec`` describes; ``path`` locates it in the document."""
-    kind = spec.get("type")
-    if kind in ("cyclic", "dihedral", "symmetric"):
-        build = {"cyclic": cyclic, "dihedral": dihedral, "symmetric": symmetric}[kind]
-        return build(_int(spec["n"], _loc(path, "n")), order_bound=order_bound)
-    if kind == "product":
-        at = _loc(path, "factors")
-        factors = _list(spec["factors"], at)
-        if len(factors) < 2:
-            raise GroupError("product needs at least two factors")
-        group = None
-        for i, f in enumerate(factors):
-            if not isinstance(f, Mapping):
-                raise GroupError(f"{_loc(at, i)}: expected an object")
-            g = _build_group(f, order_bound, _loc(at, i))
-            group = g if group is None else product(group, g, order_bound=order_bound)
-        return group
-    if kind == "perm-gens":
-        points = _int(spec["points"], _loc(path, "points"))
-        if points < 0:
-            raise GroupError(f"{_loc(path, 'points')}: must be nonnegative")
-        gens = _int_rows(spec["generators"], _loc(path, "generators"))
-        return from_permutations(points, gens, order_bound=order_bound)
-    if kind == "table":
-        labels, gens = spec.get("labels"), spec.get("generators")
-        return FiniteGroup(
-            _int_rows(spec["mul"], _loc(path, "mul")),
-            name=str(spec.get("name", "G")),
-            labels=None if labels is None else _list(labels, _loc(path, "labels")),
-            generators=None if gens is None else _ints(gens, _loc(path, "generators")),
-            order_bound=order_bound,
-        )
-    raise GroupError(f"unknown group type {kind!r}")

@@ -25,7 +25,7 @@ import heapq
 from typing import Iterable, Sequence
 
 from .errors import EqzetaError, StratumError, TableError
-from .gperm import GPermutation, LefschetzTable, _column_entries, predicted_table
+from .gperm import GPermutation, LefschetzTable, column_entries, predicted_table
 from .groups import FiniteGroup, Subgroup
 from .records import FrozenRecord
 from .zg import ClassicalZeta, TripleClass, ZGRingElement, canonical_triple, triple_index
@@ -66,7 +66,7 @@ def zeta_from_lefschetz(table: LefschetzTable) -> ZGRingElement:
                 f"a={group.labels[t.alpha]}) leaves remainder {rem} of {t.m}"
             )
         coeffs[t] = k
-        for h, m, a, v in _column_entries(group, t, m_max, profiles):
+        for h, m, a, v in column_entries(group, t, m_max, profiles):
             key = (h, m, a)
             if key not in residual:
                 residual[key] = 0

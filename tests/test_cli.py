@@ -455,6 +455,11 @@ def test_group_order_is_checked_before_the_group_is_built(capsys, tmp_path, spec
         ({"type": "table", "mul": [[0, 1], [1, 0]], "generators": [None]},
          "group: generators[0]: expected an integer, got None"),
         ({"type": "table", "mul": [["a"]]}, "group: mul[0][0]: expected an integer, got 'a'"),
+        ({}, "group: type: missing field"),
+        ({"type": "product", "factors": [_C2, {"type": "cyclic"}]},
+         "group: factors[1].n: missing field"),
+        ({"type": "product", "factors": [{"kind": "gperm", **_C2}, _C2]},
+         "group: factors[0].kind: expected 'group'"),
         ("self", "group: referenced document is not a group"),
         ("mutual", "group: referenced document is not a group"),
         ("[" * 100000 + "]" * 100000, "doc.json: document is nested too deeply"),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqzeta as eq
-from eqzeta.errors import GroupError
+from eqzeta.documents import parse_object
+from eqzeta.errors import DocumentError, GroupError
 
 from conftest import capped_perm_group, perm_group_cases
 
@@ -155,12 +157,98 @@ _C2 = {"type": "cyclic", "n": 2}
         ({"type": "table", "mul": [[0]], "generators": 5}, "generators: expected an array"),
         ({"type": "table", "mul": [[0, 1], [1, 0]], "generators": [None]},
          "generators[0]: expected an integer, got None"),
+        ({}, "type: missing field"),
+        ({"type": "product", "factors": [_C2, {"type": "cyclic"}]}, "factors[1].n: missing field"),
+        ({"type": "product", "factors": [{"kind": "gperm", **_C2}, _C2]},
+         "factors[0].kind: expected 'group'"),
     ],
 )
 def test_malformed_group_descriptions_raise_group_error(spec, message):
     with pytest.raises(GroupError) as info:
         eq.build_group(spec)
     assert str(info.value) == message
+
+
+_TYPES = ("cyclic", "dihedral", "symmetric", "product", "perm-gens", "table")
+_LEAF_TYPES = ("cyclic", "dihedral", "symmetric", "perm-gens", "table")
+_JUNK = st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none())
+_OFTEN = st.sampled_from((True,) * 9 + (False,))
+
+
+def _mostly(strategy):
+    """``strategy`` three times in four, else a value of the wrong type."""
+    return st.sampled_from((True, True, True, False)).flatmap(lambda ok: strategy if ok else _JUNK)
+
+
+def _small(limit):
+    return _mostly(st.integers(-1, limit))
+
+
+def _draw_spec(data, budget, depth):
+    """(a random group description, a bound on the order of its group): the
+    bound stays within ``budget``, products nest at most 3 deep, and fields
+    are sometimes left out or hold values of the wrong type."""
+    draw = data.draw
+    spec = {}
+
+    def put(key, value):
+        if draw(_OFTEN):  # a field is left out one time in ten
+            spec[key] = value
+        return value
+
+    if depth and not draw(_OFTEN):
+        spec["kind"] = draw(st.sampled_from(("group", "gperm")))
+    kind = put("type", draw(_mostly(st.sampled_from(_TYPES if depth < 3 else _LEAF_TYPES))))
+    degree = 3 if budget >= 6 else min(budget, 2)  # n! stays within the budget
+    if kind in ("cyclic", "dihedral", "symmetric"):
+        n = put("n", draw(_small({"cyclic": budget, "dihedral": budget // 2}.get(kind, degree))))
+        if type(n) is not int or n < 1:
+            return spec, 1
+        return spec, {"cyclic": n, "dihedral": 2 * n}.get(kind, math.factorial(n))
+    if kind == "product":
+        factors, order = [], 1
+        for _ in range(draw(st.sampled_from((1, 2, 2, 3)))):
+            if draw(_OFTEN):
+                factor, k = _draw_spec(data, budget // order, depth + 1)
+                factors.append(factor)
+                order *= k
+            else:
+                factors.append(draw(_JUNK))
+        put("factors", draw(_mostly(st.just(factors))))
+        return spec, order
+    if kind == "perm-gens":
+        points = put("points", draw(_small(degree)))
+        p = points if type(points) is int and points > 0 else 0
+        row = _mostly(st.permutations(range(p)) | st.lists(_small(3), max_size=4))
+        put("generators", draw(_mostly(st.lists(row, max_size=3))))
+        return spec, math.factorial(p)
+    if kind == "table":
+        k = draw(st.integers(1, min(budget, 4)))
+        rows = st.lists(st.lists(_small(3), max_size=k), max_size=k)
+        cyclic_rows = [[(i + j) % k for j in range(k)] for i in range(k)]
+        put("mul", draw(_mostly(st.just(cyclic_rows) | rows)))
+        if draw(st.booleans()):
+            spec["generators"] = draw(_mostly(st.lists(_small(3), max_size=3)))
+        if draw(st.booleans()):
+            spec["labels"] = draw(_mostly(st.lists(st.text(max_size=2), max_size=k)))
+        return spec, k
+    return spec, 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_descriptions_parse_to_a_group_or_one_error(data):
+    """Every description builds the same group through the document parser
+    and through build_group, or fails in both with the same message."""
+    spec, _ = _draw_spec(data, 6, 0)
+    try:
+        doc = parse_object({"kind": "group", **spec})
+    except DocumentError as exc:
+        with pytest.raises(GroupError) as info:
+            eq.build_group(spec)
+        assert f"group: {info.value}" == str(exc)
+    else:
+        assert eq.build_group(spec).is_same_as(doc.group)
 
 
 def oracle_associativity_witness(table):

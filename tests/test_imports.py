@@ -2,12 +2,14 @@
 modules it runs, and every public name still resolves.  Each test runs in a
 fresh interpreter, since this one has imported everything already."""
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 GROUP_D4 = str(Path(__file__).parent / "fixtures" / "group_d4.json")
+SRC = Path(__file__).parents[1] / "src" / "eqzeta"
 
 # the public names of the package, by defining module, as they were bound when
 # ``eqzeta/__init__`` imported every submodule
@@ -130,3 +132,21 @@ def test_names_the_cli_and_documents_imported_still_resolve():
         "]))"
     )
     assert same == [True] * len(same)
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A name another module needs is public; the one exception is the package's
+    ``_forward``, which builds each lazy module namespace."""
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "eqzeta"
+            ):
+                private += [
+                    f"{path.name}: {node.module or '.'} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                    and not (node.module is None and alias.name == "_forward")
+                ]
+    assert private == []
